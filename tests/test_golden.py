@@ -1,0 +1,153 @@
+"""Golden gate: fixed configurations must reproduce these output bytes.
+
+Each case pins the SHA-256 of outputs that a pure refactor must leave
+unchanged: the canonical session report and the key material of
+``run_experiment``, the CSV of a small ``sweep``, and the files written by
+CLI ``analyze`` and ``secure``. A change that alters the random stream on
+purpose (simulator or code construction) updates these digests and says
+why in CHANGES.md; any other change must keep them byte-identical.
+
+A mismatch prints the observed digests of the failing case.
+"""
+import dataclasses
+import hashlib
+
+import pytest
+
+from doqkd.cli import main
+from doqkd.session import run_experiment, sweep
+from doqkd.simulate import paper_default_config
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def short_config(seed: int, duration_s: float = 0.2, **attrs):
+    cfg = paper_default_config(seed=seed)
+    cfg.duration_s = cfg.baseline_duration_s = duration_s
+    cfg.block_length = 2048
+    for k, v in attrs.items():
+        setattr(cfg, k, v)
+    return cfg
+
+
+def session_config(name: str):
+    if name == "default":
+        return short_config(11)
+    if name == "format_5_2_120":
+        return short_config(12, format_n_bits=5, format_bins_per_slot=2,
+                            format_bin_width_ps=120)
+    if name == "delay":
+        cfg = short_config(13)
+        cfg.channel = dataclasses.replace(cfg.channel,
+                                          propagation_delay_ps=5 * 7680 + 123)
+        return cfg
+    raise KeyError(name)
+
+
+def session_digests(name: str) -> dict:
+    rep = run_experiment(session_config(name))
+    return {"report": sha(rep.canonical_bytes()),
+            "secret_key": sha(rep.secret_key),
+            "raw_key_a": sha(rep.raw_key_a),
+            "raw_key_b": sha(rep.raw_key_b),
+            "reconciled_key": sha(rep.reconciled_key)}
+
+
+def sweep_digests() -> dict:
+    table = sweep(short_config(21, duration_s=0.1), tau_list=(80, 160),
+                  i_list=(2, 3), n_list=(3, 4))
+    return {"csv": sha(table.to_csv().encode())}
+
+
+def cli_digests(tmp) -> dict:
+    cfg = short_config(31, duration_s=0.1)
+    base = cfg.baseline_config()
+    paths = {}
+    for label, c in (("run", cfg), ("ref", base)):
+        d = tmp / label
+        d.mkdir()
+        c.save(d / "cfg.json")
+        assert main(["simulate", "--config", str(d / "cfg.json"),
+                     "--out", str(d)]) == 0
+        paths[label] = d
+    out = tmp / "out"
+    assert main(["analyze", "--in", str(paths["run"]), "--out", str(out)]) == 0
+    assert main(["secure", "--in", str(paths["run"]), "--baseline",
+                 str(paths["ref"]), "--config", str(paths["run"] / "cfg.json"),
+                 "--out", str(out)]) == 0
+    return {name: sha((out / name).read_bytes())
+            for name in ("analysis.json", "histograms.csv", "security.json")}
+
+
+GOLDEN = {
+    "default": {
+        "report":
+            "b7832b88be2f60b8d3bd3dc416e5235212d6acfe529a2e43955f09a389ca9911",
+        "secret_key":
+            "1561f6b2c9ac79ab14f7ab1a83ea40abe0f827c9c957e4b05e262e3036dea994",
+        "raw_key_a":
+            "3268a9ce93866196d9a603a17498cb013894e49cc6be10d2fc910274fb9b590d",
+        "raw_key_b":
+            "e0668955332d04e0c27cb6ec5cdbea02a70b15cdf4ffe37847d61cf72b385eaa",
+        "reconciled_key":
+            "1e67e7153c74db88862c4ef7a9735e46a24fa4734fc759c589b2ca455e034413",
+    },
+    "format_5_2_120": {
+        "report":
+            "dd164e2668413984cd502ab81ec24f1bbf3b311cedf535d809fc56210ed9dcea",
+        "secret_key":
+            "e7944f7f298fcb1f44f9df225277147184c670a07a72ad6d77f2e36df365fd50",
+        "raw_key_a":
+            "907aafb7a1bd5579325ca6b50d8611004345d963f7b289b554b8c79cfc9ce5f4",
+        "raw_key_b":
+            "cde4fc0fabac7bf6b9f1fba098f7c60c5f5afca0f02d9a7317f60b369b3aa90a",
+        "reconciled_key":
+            "c43e050d200697fe0b2f4f9592600d37672315a352d25bed28af8234b619f53e",
+    },
+    "delay": {
+        "report":
+            "4e051543f679121a2a0ac274bf30f664145080f7016b3b5ba0bc5229843a4c71",
+        "secret_key":
+            "e3375e2c52fffb0d1b5926ab852ea82dbc1467dba006312917c68d5ccc32a418",
+        "raw_key_a":
+            "b27ea4ba5368de86a50ffe4de231439a5442866bb2aa6dc0672d0a47386f4fc3",
+        "raw_key_b":
+            "e1c547913f6e3592fb0e836ad236026d7c80131eb81b56f4e1f0444a442357f7",
+        "reconciled_key":
+            "592e69f38f5379099db458a54debf1340e0eb1a6644c55b7db7b75e1cafb7973",
+    },
+    "sweep": {
+        "csv":
+            "7f1bb3fd38579412193fd4f255a54f23e891ff136859c3e8efbd01a79794895c",
+    },
+    "cli": {
+        "analysis.json":
+            "5d80ca0b1ccb5110d6a0174429abd23b69c89e0284c0beea0d00975eecd6f1d1",
+        "histograms.csv":
+            "72c7df114882bc4ae04aa18c1d79e3ac21002b1fd0c3042ae6c660d22eb70bb0",
+        "security.json":
+            "3991afff998737bda162be945543993b200ec100b8a2469a6758c4ea45eea711",
+    },
+}
+
+
+def check(case: str, observed: dict) -> None:
+    expected = GOLDEN[case]
+    assert observed == expected, (
+        f"golden gate '{case}' changed; observed digests:\n"
+        + "\n".join(f"    {k!r}: {v!r}," for k, v in observed.items()))
+
+
+@pytest.mark.parametrize("name", ["default", "format_5_2_120", "delay"])
+def test_session(name):
+    check(name, session_digests(name))
+
+
+def test_sweep():
+    check("sweep", sweep_digests())
+
+
+def test_cli(tmp_path):
+    check("cli", cli_digests(tmp_path))
