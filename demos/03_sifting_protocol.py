@@ -8,7 +8,7 @@ never touch the classical channel.
 import numpy as np
 
 import doqkd as dq
-from doqkd.session import SPLIT_SEED_SALT
+from doqkd.session import split_seed
 
 cfg = dq.paper_default_config()
 cfg.duration_s = 0.5
@@ -19,7 +19,7 @@ print(f"format: {fmt.slots_per_frame} slots x {fmt.bins_per_slot} bins x "
       f"{fmt.bin_width_ps} ps -> frame {fmt.frame_width_ps} ps")
 
 # both parties split off the security fraction with the same frame-keyed hash
-seed = cfg.seed ^ SPLIT_SEED_SALT
+seed = split_seed(cfg)
 _, key_t1 = dq.split_security_fraction(tags.t1, cfg.security_fraction, seed, fmt)
 _, key_t2 = dq.split_security_fraction(tags.t2, cfg.security_fraction, seed, fmt)
 

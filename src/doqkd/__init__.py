@@ -20,16 +20,15 @@ from .security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
                        secret_fraction, shannon_info)
 from .session import (OptimizeEntry, SessionReport, SweepRow, SweepTable,
                       compute_baseline, optimize, run_experiment, sweep)
-from .sifting import (FrameFormat, Message, MessageType, SiftResult, TimeAddress,
-                      Transcript, assign_address, pack_symbols, qber,
-                      run_sifting, single_event_frames, split_security_fraction,
+from .sifting import (FrameFormat, Message, MessageType, SiftResult, Transcript,
+                      pack_symbols, qber, run_sifting, split_security_fraction,
                       unpack_symbols)
 from .simulate import (CalibrationTargets, ChannelModel, DetectorModel,
                        DispersiveBasis, SessionTags, SimConfig, SourceModel,
                        calibrate, dispersive_shift, paper_default_config,
                        simulate_session)
 from .timetags import (Basis, Channel, CoincidenceHistogram, EffectiveRates,
-                       Party, TagStream, TimeTag, coincidence_histogram,
-                       effective_rates, find_coincidences, fwhm, merge_sorted)
+                       Party, TagStream, coincidence_histogram, effective_rates,
+                       fwhm)
 
 __version__ = "0.1.0"

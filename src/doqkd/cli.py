@@ -9,17 +9,16 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, DoqkdError, ProtocolAbort, StageError
 from .io import read_ttag, write_json, write_ttag
-from .security import Baseline, excess_noise, holevo_bound
+from .security import Baseline
 from .session import (CODE_SEED, DEFAULT_I_GRID, DEFAULT_N_GRID,
                       DEFAULT_TAU_GRID, PA_SEED_SALT, analyze_security,
-                      optimize, run_experiment, sweep)
+                      four_basis_histograms, histogram_summaries, optimize,
+                      run_experiment, security_figures, sweep)
 from .sifting import FrameFormat, pack_symbols, qber, run_sifting
 from .simulate import SessionTags, SimConfig, paper_default_config, simulate_session
-from .timetags import Channel, coincidence_histogram, effective_rates
+from .timetags import Channel, TagStream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,19 +46,24 @@ def _parse_format(text: str) -> FrameFormat:
         raise ConfigError(f"bad --format '{text}', expected N,I,tau_ps") from e
 
 
-def _load_session_dir(path: str | Path, duration_ps: int | None = None) -> SessionTags:
-    d = Path(path)
-    streams = {}
-    for ch, name in _STREAM_FILES.items():
-        f = d / name
+def _read_streams(path: str | Path, channels, duration_ps: int | None = None
+                  ) -> list[TagStream]:
+    """Read the given channels' ttag files from a directory, all stretched to
+    the longest stream's duration."""
+    streams = []
+    for ch in channels:
+        f = Path(path) / _STREAM_FILES[ch]
         if not f.exists():
             raise ConfigError(f"missing stream file {f}")
-        streams[ch] = read_ttag(f, duration_ps)
-    dur = max(s.duration_ps for s in streams.values())
-    for ch in streams:
-        streams[ch].duration_ps = dur
-    return SessionTags(streams[Channel.T1], streams[Channel.F1],
-                       streams[Channel.T2], streams[Channel.F2])
+        streams.append(read_ttag(f, duration_ps))
+    dur = max(s.duration_ps for s in streams)
+    for s in streams:
+        s.duration_ps = dur
+    return streams
+
+
+def _load_session_dir(path: str | Path, duration_ps: int | None = None) -> SessionTags:
+    return SessionTags(*_read_streams(path, _STREAM_FILES, duration_ps))
 
 
 def _out_dir(args) -> Path:
@@ -85,23 +89,13 @@ def cmd_analyze(args) -> int:
     range_ps = args.range or (cfg.hist_range_ps if cfg else 3840)
     tags = _load_session_dir(args.indir)
     out = _out_dir(args)
-    pairs = {"tt": (tags.t1, tags.t2), "tf": (tags.t1, tags.f2),
-             "ft": (tags.f1, tags.t2), "ff": (tags.f1, tags.f2)}
+    hists = four_basis_histograms(tags, bin_ps, range_ps, tags.t1.duration_s)
     lines = ["# combo,offset_ps,counts"]
-    summary = {}
-    for name, (a, b) in pairs.items():
-        h = coincidence_histogram(a, b, bin_ps, (-range_ps, range_ps))
+    for name in ("tt", "tf", "ft", "ff"):
+        h = getattr(hists, name)
         for c, x in zip(h.counts, h.bin_centers()):
             lines.append(f"{name},{x:.1f},{int(c)}")
-        try:
-            er = effective_rates(h)
-            summary[name] = {"fwhm_ps": float(er.fwhm_ps),
-                             "effective_rate_hz": float(er.effective_coincidence_rate_hz),
-                             "effective_car": float(er.effective_car)
-                             if np.isfinite(er.effective_car) else None,
-                             "peak_offset_ps": int(er.peak_bin_offset)}
-        except DoqkdError as e:
-            summary[name] = {"error": str(e)}
+    summary = histogram_summaries(hists)
     (out / "histograms.csv").write_text("\n".join(lines) + "\n")
     write_json(out / "analysis.json", summary)
     for name, s in summary.items():
@@ -112,11 +106,7 @@ def cmd_analyze(args) -> int:
 def cmd_sift(args) -> int:
     fmt = _parse_format(args.format)
     fmt_b = _parse_format(args.format_b) if args.format_b else None
-    d = Path(args.indir)
-    t1 = read_ttag(d / "t1.ttag")
-    t2 = read_ttag(d / "t2.ttag")
-    dur = max(t1.duration_ps, t2.duration_ps)
-    t1.duration_ps = t2.duration_ps = dur
+    t1, t2 = _read_streams(args.indir, (Channel.T1, Channel.T2))
     out = _out_dir(args)
     result = run_sifting(t1, t2, fmt, fmt_b)
     (out / "key_a.bin").write_bytes(pack_symbols(result.key_a, fmt.n_bits))
@@ -140,9 +130,7 @@ def cmd_secure(args) -> int:
     _, tfcm = analyze_security(tags, cfg)
     _, tfcm0 = analyze_security(base_tags, cfg)
     baseline = Baseline(tfcm0)
-    xi_t = excess_noise(tfcm.sigma_t_sq, baseline.sigma_t0_sq)
-    xi_w = excess_noise(tfcm.sigma_w_sq, baseline.sigma_w0_sq)
-    chi = holevo_bound(tfcm, baseline)
+    xi_t, xi_w, chi = security_figures(tfcm, baseline)
     report = {"xi_t": xi_t, "xi_w": xi_w, "chi_ae_bpc": chi,
               "tfcm": tfcm.matrix.tolist(),
               "baseline_tfcm": baseline.tfcm.matrix.tolist()}
@@ -285,22 +273,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ProtocolAbort as e:
-        print(f"protocol abort: {e}", file=sys.stderr)
-        return EXIT_ABORT
-    except StageError as e:
-        if isinstance(e.cause, ProtocolAbort):
-            print(f"protocol abort: {e}", file=sys.stderr)
-            return EXIT_ABORT
-        if isinstance(e.cause, ConfigError):
+    except DoqkdError as e:
+        cause = e.cause if isinstance(e, StageError) else e
+        if isinstance(cause, ConfigError):
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DoqkdError as e:
+        if isinstance(cause, ProtocolAbort):
+            print(f"protocol abort: {e}", file=sys.stderr)
+            return EXIT_ABORT
         print(f"error: {e}", file=sys.stderr)
         return 1
 

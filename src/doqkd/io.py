@@ -22,7 +22,6 @@ from .timetags import Channel, TagStream
 
 TTAG_DTYPE = np.dtype([("channel", "u1"), ("flags", "u1"), ("timestamp", "<i8")])
 TRUTH_DTYPE = np.dtype([("pair_id", "<u8"), ("detuning", "<f8"), ("emit_time", "<i8")])
-NO_PAIR = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def truth_path(path: str | Path) -> Path:
@@ -50,6 +49,23 @@ def write_ttag(path: str | Path, stream: TagStream) -> None:
     Path(path).write_bytes(rec.tobytes())
 
 
+def _sorted_stream(path, times: np.ndarray, chans: np.ndarray,
+                   duration_ps: int | None, **truth) -> TagStream:
+    """One stream sorted by timestamp; negative timestamps are rejected."""
+    if times.size and times.min() < 0:
+        raise ConfigError(f"{path}: negative timestamp")
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    chans = chans[order]
+    truth = {k: v[order] for k, v in truth.items()}
+    uniq = np.unique(chans)
+    single = Channel(int(uniq[0])) if len(uniq) == 1 else None
+    if duration_ps is None:
+        duration_ps = int(times[-1]) + 1 if len(times) else 0
+    return TagStream(times, single, duration_ps,
+                     channels=None if single is not None else chans, **truth)
+
+
 def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
     """Read a ttag-v1 file (and its side file, if present) into one stream.
 
@@ -75,17 +91,7 @@ def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
         truth = dict(pair_ids=pid,
                      detunings=side["detuning"].astype(np.float64),
                      emit_times=side["emit_time"].astype(np.int64))
-
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    chans = chans[order]
-    truth = {k: v[order] for k, v in truth.items()}
-    uniq = np.unique(chans)
-    single = Channel(int(uniq[0])) if len(uniq) == 1 else None
-    if duration_ps is None:
-        duration_ps = int(times[-1]) + 1 if len(times) else 0
-    return TagStream(times, single, duration_ps,
-                     channels=None if single is not None else chans, **truth)
+    return _sorted_stream(path, times, chans, duration_ps, **truth)
 
 
 def write_csv(path: str | Path, stream: TagStream) -> None:
@@ -114,16 +120,8 @@ def read_csv(path: str | Path, duration_ps: int | None = None) -> TagStream:
                 chans.append(int(ch))
             except (ValueError, KeyError) as e:
                 raise ConfigError(f"{path}:{lineno}: bad record ({e})") from e
-    times = np.asarray(times, np.int64)
-    chans = np.asarray(chans, np.uint8)
-    order = np.argsort(times, kind="stable")
-    times, chans = times[order], chans[order]
-    uniq = np.unique(chans)
-    single = Channel(int(uniq[0])) if len(uniq) == 1 else None
-    if duration_ps is None:
-        duration_ps = int(times[-1]) + 1 if len(times) else 0
-    return TagStream(times, single, duration_ps,
-                     channels=None if single is not None else chans)
+    return _sorted_stream(path, np.asarray(times, np.int64),
+                          np.asarray(chans, np.uint8), duration_ps)
 
 
 def canonical_json(obj) -> str:

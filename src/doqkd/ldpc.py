@@ -71,13 +71,8 @@ class LdpcCode:
     def n_edges(self) -> int:
         return int(self.edge_var.size)
 
-    def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.m, self.n), np.uint8)
-        h[self.edge_chk, self.edge_var] = 1
-        return h
 
-
-def _degree_sequence(n: int, profile, rng: np.random.Generator) -> np.ndarray:
+def _degree_sequence(n: int, profile) -> np.ndarray:
     degs = []
     assigned = 0
     for deg, frac in profile[:-1]:
@@ -107,7 +102,7 @@ def peg_construct(n: int, m: int, seed: int,
     deterministic in (n, m, seed, profile).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, m)))
-    degs = _degree_sequence(n, profile, rng)
+    degs = _degree_sequence(n, profile)
     n_edges = int(degs.sum())
     tiebreak = rng.permutation(m).astype(np.int64)
     n_deg2 = int(np.count_nonzero(degs == 2))

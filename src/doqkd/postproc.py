@@ -86,7 +86,7 @@ def verification_hash(bits: np.ndarray) -> int:
     return crc
 
 
-def select_rate(measured_ber: float, n: int, min_overhead: float = 1.25,
+def select_rate(measured_ber: float, min_overhead: float = 1.25,
                 rates: tuple[float, ...] = SUPPORTED_RATES) -> float:
     """Largest design rate whose syndrome overhead stays decodable.
 
@@ -100,7 +100,6 @@ def select_rate(measured_ber: float, n: int, min_overhead: float = 1.25,
 
 @dataclass
 class BlockResult:
-    index: int
     success: bool
     verified: bool
     iterations: int
@@ -154,9 +153,9 @@ def reconcile(bob_bits: np.ndarray, alice_syndrome: np.ndarray, code: LdpcCode,
     corrected, iters = decode_syndrome(bob_bits, alice_syndrome, code,
                                        crossover_prior, max_iters)
     if corrected is None:
-        return BlockResult(0, False, False, iters, None)
+        return BlockResult(False, False, iters, None)
     verified = (alice_check is None) or (verification_hash(corrected) == alice_check)
-    return BlockResult(0, True, verified, iters, corrected)
+    return BlockResult(True, verified, iters, corrected)
 
 
 def reconcile_key(alice_bits: np.ndarray, bob_bits: np.ndarray, *,
@@ -180,8 +179,7 @@ def reconcile_key(alice_bits: np.ndarray, bob_bits: np.ndarray, *,
     used = n_blocks * block_length
     ber = float(np.count_nonzero(alice_bits[:used] != bob_bits[:used])) / used
     ber_prior = min(max(ber, 1e-4), 0.4999)
-    code_rate = rate if rate is not None else select_rate(ber_prior, block_length,
-                                                          min_overhead)
+    code_rate = rate if rate is not None else select_rate(ber_prior, min_overhead)
     code = make_code(block_length, code_rate, code_seed)
 
     outcome = ReconciliationOutcome(
@@ -192,7 +190,6 @@ def reconcile_key(alice_bits: np.ndarray, bob_bits: np.ndarray, *,
         a, b = alice_bits[sl], bob_bits[sl]
         res = reconcile(b, syndrome(a, code), code, ber_prior, max_iters,
                         alice_check=verification_hash(a))
-        res.index = i
         outcome.blocks.append(res)
         outcome.disclosed_bits_total += code.m + VERIFICATION_HASH_BITS
         if res.success and res.verified:

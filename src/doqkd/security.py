@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import EstimationError
-from .timetags import CoincidenceHistogram, fwhm as _fwhm
-
-LOG2 = math.log(2.0)
+from .timetags import CoincidenceHistogram, accidental_floor, fwhm as _fwhm
 
 
 @dataclass(frozen=True)
@@ -37,12 +35,12 @@ class PeakMoments:
     fwhm_ps: float
 
 
-def histogram_moments(h: CoincidenceHistogram, window_fwhm: float = 3.0,
-                      floor_model: str = "flat") -> PeakMoments:
+def histogram_moments(h: CoincidenceHistogram, floor_model: str = "flat"
+                      ) -> PeakMoments:
     """Mean/variance of the peak after accidental-floor subtraction.
 
-    Moments are restricted to +/- ``window_fwhm`` x FWHM around the peak to
-    suppress accidental-tail bias. ``floor_model`` is "flat" (mean of the
+    Moments are restricted to +/- 3x FWHM around the peak to suppress
+    accidental-tail bias. ``floor_model`` is "flat" (mean of the
     outside bins) or "linear" (least-squares in |offset|, extrapolated under
     the peak). Linear is for histograms whose both streams passed the
     frame-keyed security split: that split decorrelates pairs straddling a
@@ -54,18 +52,19 @@ def histogram_moments(h: CoincidenceHistogram, window_fwhm: float = 3.0,
     """
     width = _fwhm(h)
     counts = h.counts.astype(float)
-    centers = h.bin_centers()
-    peak_center = centers[int(np.argmax(counts))]
-    inside = np.abs(centers - peak_center) <= window_fwhm * width
-    if inside.all():
+    peak = int(np.argmax(counts))
+    floor_level, outside = accidental_floor(counts, peak,
+                                            int(3.0 * width // h.bin_width))
+    if floor_level is None:
         raise EstimationError("histogram range too narrow for floor estimation")
-    dist = np.abs(centers - peak_center)
+    inside = ~outside
+    centers = h.bin_centers()
     if floor_model == "linear":
-        coeffs = np.polyfit(dist[~inside], counts[~inside], 1)
+        dist = np.abs(centers - centers[peak])
+        coeffs = np.polyfit(dist[outside], counts[outside], 1)
         floor_in = np.polyval(coeffs, dist[inside])
         floor_level = float(np.polyval(coeffs, 0.0))
     elif floor_model == "flat":
-        floor_level = float(counts[~inside].mean())
         floor_in = floor_level
     else:
         raise ValueError(f"unknown floor_model {floor_model!r}")
@@ -150,8 +149,7 @@ class Baseline:
         return self.tfcm.sigma_w_sq
 
 
-def estimate_tfcm(hists: FourBasisHistograms, beta_d_ps_per_rad_s: float,
-                  min_counts: float = 1e3) -> Tfcm:
+def estimate_tfcm(hists: FourBasisHistograms, beta_d_ps_per_rad_s: float) -> Tfcm:
     """Moment-matching TFCM estimator from the four basis combinations.
 
     The time/time variance is taken directly; the freq/freq variance gives
@@ -159,7 +157,8 @@ def estimate_tfcm(hists: FourBasisHistograms, beta_d_ps_per_rad_s: float,
     two cross combinations give the spectral marginals. Time-frequency cross
     covariances vanish by the source model's symmetry and are reported as
     zero. Equal detector jitter on both channels of a party is assumed when
-    splitting the per-party time variances.
+    splitting the per-party time variances. Each combination needs at
+    least 1000 corrected counts.
     """
     if beta_d_ps_per_rad_s == 0:
         raise EstimationError("beta_d must be nonzero")
@@ -169,9 +168,9 @@ def estimate_tfcm(hists: FourBasisHistograms, beta_d_ps_per_rad_s: float,
     moms = {k: histogram_moments(getattr(hists, k), floor_model=floor_models[k])
             for k in ("tt", "tf", "ft", "ff")}
     for k, m in moms.items():
-        if m.weight < min_counts:
+        if m.weight < 1e3:
             raise EstimationError(f"{k} combination has {m.weight:.0f} counts "
-                                  f"(< {min_counts:.0f})")
+                                  "(< 1000)")
     b2 = beta_d_ps_per_rad_s**2
     var_tt = moms["tt"].variance_ps2
     sigma_w_sq = (moms["ff"].variance_ps2 - var_tt) / b2
@@ -216,12 +215,27 @@ def gaussian_entropy_g(x: float) -> float:
     return a * math.log2(a) - b * math.log2(b)
 
 
-def holevo_bound(tfcm: Tfcm, baseline: Baseline, clamp_tol: float = 1e-6) -> float:
+def _baseline_mode(baseline: Baseline) -> tuple[float, float]:
+    """(u, v) of the pure two-mode squeezed state the baseline maps to.
+
+    The squeezing u follows from the ratio of the spectral marginal to the
+    spectral-correlation variance; v = (1 + u^2) / 2u.
+    """
+    st0, sw0 = baseline.sigma_t0_sq, baseline.sigma_w0_sq
+    if st0 <= 0 or sw0 <= 0:
+        raise EstimationError("baseline correlation variances must be > 0")
+    ratio = baseline.tfcm.spectral_marginal_sq / sw0
+    if 4.0 * ratio <= 1.0:
+        raise EstimationError("baseline lacks spectral anti-correlation")
+    u = 1.0 / math.sqrt(4.0 * ratio - 1.0)
+    return u, (1.0 + u * u) / (2.0 * u)
+
+
+def holevo_bound(tfcm: Tfcm, baseline: Baseline) -> float:
     """Eavesdropper information bound, bits per coincidence.
 
-    The baseline maps to a pure two-mode squeezed state whose squeezing
-    follows from the ratio of the spectral marginal to the spectral
-    correlation variance; measured excess time/frequency correlation noise
+    The baseline maps to a pure two-mode squeezed state (see
+    :func:`_baseline_mode`); measured excess time/frequency correlation noise
     perturbs the receiver mode. The bound is S(AB) - S(B|t_A): the entropy
     of the purifying environment minus its entropy given the sender's
     arrival-time (homodyne-like) measurement. Exactly zero when ``tfcm``
@@ -229,20 +243,11 @@ def holevo_bound(tfcm: Tfcm, baseline: Baseline, clamp_tol: float = 1e-6) -> flo
     """
     if not tfcm.is_psd(tol=1e-7):
         raise EstimationError("TFCM is not positive semidefinite")
-    st0, sw0 = baseline.sigma_t0_sq, baseline.sigma_w0_sq
-    if st0 <= 0 or sw0 <= 0:
-        raise EstimationError("baseline correlation variances must be > 0")
-    marginal = baseline.tfcm.spectral_marginal_sq
-    ratio = marginal / sw0
-    if 4.0 * ratio <= 1.0:
-        raise EstimationError("baseline lacks spectral anti-correlation")
-
-    u = 1.0 / math.sqrt(4.0 * ratio - 1.0)
-    v = (1.0 + u * u) / (2.0 * u)
+    u, v = _baseline_mode(baseline)
     c = math.sqrt(max(v * v - 1.0, 0.0))
     # dimensionless receiver-mode noise from the measured excess factors
-    xi_t = excess_noise(tfcm.sigma_t_sq, st0)
-    xi_w = excess_noise(tfcm.sigma_w_sq, sw0)
+    xi_t = excess_noise(tfcm.sigma_t_sq, baseline.sigma_t0_sq)
+    xi_w = excess_noise(tfcm.sigma_w_sq, baseline.sigma_w0_sq)
     dt = xi_t * 2.0 * u
     dw = xi_w * 2.0 * u
 
@@ -255,7 +260,7 @@ def holevo_bound(tfcm: Tfcm, baseline: Baseline, clamp_tol: float = 1e-6) -> flo
 
     def nu(lam: float) -> float:
         n = math.sqrt(max(lam, 0.0))
-        if n < 1.0 - clamp_tol:
+        if n < 1.0 - 1e-6:
             warnings.warn(f"symplectic eigenvalue {n:.6f} < 1 clamped (unphysical "
                           "estimate)", RuntimeWarning, stacklevel=2)
         return max(n, 1.0)
@@ -267,14 +272,8 @@ def holevo_bound(tfcm: Tfcm, baseline: Baseline, clamp_tol: float = 1e-6) -> flo
 
 def gaussian_time_information(tfcm: Tfcm, baseline: Baseline) -> float:
     """Diagnostic: Gaussian mutual information of the arrival-time sector."""
-    st0, sw0 = baseline.sigma_t0_sq, baseline.sigma_w0_sq
-    marginal = baseline.tfcm.spectral_marginal_sq
-    ratio = marginal / sw0
-    if 4.0 * ratio <= 1.0 or st0 <= 0:
-        raise EstimationError("baseline lacks spectral anti-correlation")
-    u = 1.0 / math.sqrt(4.0 * ratio - 1.0)
-    v = (1.0 + u * u) / (2.0 * u)
-    dt = excess_noise(tfcm.sigma_t_sq, st0) * 2.0 * u
+    u, v = _baseline_mode(baseline)
+    dt = excess_noise(tfcm.sigma_t_sq, baseline.sigma_t0_sq) * 2.0 * u
     return 0.5 * math.log2(v * (v + dt) / max(1.0 + v * dt, 1e-300))
 
 
@@ -334,9 +333,7 @@ class SecurityReport:
     i_ab_gaussian_bpc: float | None = None
 
     def to_dict(self) -> dict:
-        d = {"xi_t": self.xi_t, "xi_w": self.xi_w, "i_ab_bpc": self.i_ab_bpc,
-             "chi_ae_bpc": self.chi_ae_bpc, "beta": self.beta,
-             "delta_i_bpc": self.delta_i_bpc, "no_key": self.no_key}
-        if self.i_ab_gaussian_bpc is not None:
-            d["i_ab_gaussian_bpc"] = self.i_ab_gaussian_bpc
+        d = asdict(self)
+        if self.i_ab_gaussian_bpc is None:
+            del d["i_ab_gaussian_bpc"]
         return d

@@ -13,7 +13,7 @@ import hashlib
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,19 +62,19 @@ def align_bob(tags: SessionTags, delay_ps: int) -> SessionTags:
     return SessionTags(tags.t1, tags.f1, unshift(tags.t2), unshift(tags.f2))
 
 
-def four_basis_histograms(t1: TagStream, f1: TagStream, t2: TagStream,
-                          f2: TagStream, bin_ps: int, range_ps: int,
+def four_basis_histograms(tags: SessionTags, bin_ps: int, range_ps: int,
                           acquisition_s: float) -> FourBasisHistograms:
     rng = (-range_ps, range_ps)
     return FourBasisHistograms(
-        tt=coincidence_histogram(t1, t2, bin_ps, rng, acquisition_s),
-        tf=coincidence_histogram(t1, f2, bin_ps, rng, acquisition_s),
-        ft=coincidence_histogram(f1, t2, bin_ps, rng, acquisition_s),
-        ff=coincidence_histogram(f1, f2, bin_ps, rng, acquisition_s),
+        tt=coincidence_histogram(tags.t1, tags.t2, bin_ps, rng, acquisition_s),
+        tf=coincidence_histogram(tags.t1, tags.f2, bin_ps, rng, acquisition_s),
+        ft=coincidence_histogram(tags.f1, tags.t2, bin_ps, rng, acquisition_s),
+        ff=coincidence_histogram(tags.f1, tags.f2, bin_ps, rng, acquisition_s),
     )
 
 
-def _histogram_summaries(hists: FourBasisHistograms) -> dict:
+def histogram_summaries(hists: FourBasisHistograms) -> dict:
+    """Per basis combination: FWHM, effective rate, CAR and peak offset."""
     out = {}
     for name in ("tt", "tf", "ft", "ff"):
         h = getattr(hists, name)
@@ -92,20 +92,45 @@ def _histogram_summaries(hists: FourBasisHistograms) -> dict:
     return out
 
 
+def split_seed(config: SimConfig) -> int:
+    """Seed of the frame-keyed security/key split."""
+    return config.seed ^ SPLIT_SEED_SALT
+
+
+def split_time_streams(tags: SessionTags, config: SimConfig, fmt: FrameFormat
+                       ) -> tuple[SessionTags, TagStream, TagStream]:
+    """Frame-keyed split of both time-basis streams.
+
+    Returns the security subset (split time streams with the unsplit
+    frequency streams) and the key halves of T1 and T2.
+    """
+    seed = split_seed(config)
+    sec_t1, key_t1 = split_security_fraction(tags.t1, config.security_fraction,
+                                             seed, fmt)
+    sec_t2, key_t2 = split_security_fraction(tags.t2, config.security_fraction,
+                                             seed, fmt)
+    return SessionTags(sec_t1, tags.f1, sec_t2, tags.f2), key_t1, key_t2
+
+
+def _estimate(sec: SessionTags, config: SimConfig
+              ) -> tuple[FourBasisHistograms, Tfcm]:
+    hists = four_basis_histograms(sec, config.hist_bin_ps, config.hist_range_ps,
+                                  config.duration_s)
+    return hists, estimate_tfcm(hists, config.basis.beta_d_ps_per_rad_s)
+
+
 def analyze_security(tags: SessionTags, config: SimConfig,
                      fmt: FrameFormat | None = None) -> tuple[FourBasisHistograms, Tfcm]:
     """Security-subset four-basis histograms and the covariance estimate."""
-    fmt = fmt or session_format(config)
-    split_seed = config.seed ^ SPLIT_SEED_SALT
-    sec_t1, _ = split_security_fraction(tags.t1, config.security_fraction,
-                                        split_seed, fmt)
-    sec_t2, _ = split_security_fraction(tags.t2, config.security_fraction,
-                                        split_seed, fmt)
-    hists = four_basis_histograms(sec_t1, tags.f1, sec_t2, tags.f2,
-                                  config.hist_bin_ps, config.hist_range_ps,
-                                  config.duration_s)
-    tfcm = estimate_tfcm(hists, config.basis.beta_d_ps_per_rad_s)
-    return hists, tfcm
+    sec, _, _ = split_time_streams(tags, config, fmt or session_format(config))
+    return _estimate(sec, config)
+
+
+def security_figures(tfcm: Tfcm, baseline: Baseline) -> tuple[float, float, float]:
+    """Excess time and frequency noise over the baseline, and chi(A;E)."""
+    xi_t = excess_noise(tfcm.sigma_t_sq, baseline.sigma_t0_sq)
+    xi_w = excess_noise(tfcm.sigma_w_sq, baseline.sigma_w0_sq)
+    return xi_t, xi_w, holevo_bound(tfcm, baseline)
 
 
 def compute_baseline(config: SimConfig) -> Baseline:
@@ -177,20 +202,14 @@ def run_experiment(config: SimConfig, baseline: Baseline | None = None) -> Sessi
         singles = tags.singles_rates_hz()
 
     with _stage("security"):
-        hists, tfcm = analyze_security(tags, config, fmt)
+        sec, key_t1, key_t2 = split_time_streams(tags, config, fmt)
+        hists, tfcm = _estimate(sec, config)
         if baseline is None:
             baseline = compute_baseline(config)
-        xi_t = excess_noise(tfcm.sigma_t_sq, baseline.sigma_t0_sq)
-        xi_w = excess_noise(tfcm.sigma_w_sq, baseline.sigma_w0_sq)
-        chi = holevo_bound(tfcm, baseline)
+        xi_t, xi_w, chi = security_figures(tfcm, baseline)
         i_gauss = gaussian_time_information(tfcm, baseline)
 
     with _stage("sift"):
-        split_seed = config.seed ^ SPLIT_SEED_SALT
-        _, key_t1 = split_security_fraction(tags.t1, config.security_fraction,
-                                            split_seed, fmt)
-        _, key_t2 = split_security_fraction(tags.t2, config.security_fraction,
-                                            split_seed, fmt)
         sift = run_sifting(key_t1, key_t2, fmt)
         raw_rate = fmt.n_bits * sift.kept_frames / config.duration_s
         if sift.kept_frames:
@@ -234,7 +253,7 @@ def run_experiment(config: SimConfig, baseline: Baseline | None = None) -> Sessi
     return SessionReport(
         config=config.to_dict(),
         singles_rates_hz=singles,
-        histograms=_histogram_summaries(hists),
+        histograms=histogram_summaries(hists),
         kept_frames=sift.kept_frames,
         discarded_bin_mismatch=sift.discarded_bin_mismatch,
         discarded_multi_event=sift.discarded_multi_event,
@@ -272,12 +291,6 @@ class SweepRow:
     secret_rate_bps: float | None
     status: str = "ok"
 
-    def to_dict(self) -> dict:
-        return {"n_bits": self.n_bits, "bins_per_slot": self.bins_per_slot,
-                "tau_ps": self.tau_ps, "raw_rate_bps": self.raw_rate_bps,
-                "qber": self.qber, "delta_i_bpc": self.delta_i_bpc,
-                "secret_rate_bps": self.secret_rate_bps, "status": self.status}
-
 
 @dataclass
 class SweepTable:
@@ -314,8 +327,7 @@ def sweep(config: SimConfig,
           tau_list: tuple[int, ...] = DEFAULT_TAU_GRID,
           i_list: tuple[int, ...] = DEFAULT_I_GRID,
           n_list: tuple[int, ...] = DEFAULT_N_GRID,
-          tags: SessionTags | None = None,
-          nominal_beta: float = NOMINAL_BETA) -> SweepTable:
+          tags: SessionTags | None = None) -> SweepTable:
     """Re-sift one simulated dataset over the whole format grid.
 
     Tags are generated once per seed and re-split/re-sifted per grid point,
@@ -335,7 +347,7 @@ def sweep(config: SimConfig,
     except DoqkdError:
         chi = None
 
-    split_seed = config.seed ^ SPLIT_SEED_SALT
+    seed = split_seed(config)
     # times-only stream skeletons: re-splitting per grid point must not copy
     # truth annotations around
     t1_times, t2_times = tags.t1.times, tags.t2.times
@@ -347,9 +359,9 @@ def sweep(config: SimConfig,
                 fmt = FrameFormat(n, i_bins, tau)
                 try:
                     m1 = security_mask(t1_times, config.security_fraction,
-                                       split_seed, fmt)
+                                       seed, fmt)
                     m2 = security_mask(t2_times, config.security_fraction,
-                                       split_seed, fmt)
+                                       seed, fmt)
                     key_t1 = TagStream(t1_times[~m1], Channel.T1, dur_ps)
                     key_t2 = TagStream(t2_times[~m2], Channel.T2, dur_ps)
                     res = run_sifting(key_t1, key_t2, fmt)
@@ -362,7 +374,7 @@ def sweep(config: SimConfig,
                     if chi is not None and res.kept_frames >= 1000:
                         i_ab = mutual_information(res.key_a, res.key_b,
                                                   fmt.slots_per_frame)
-                        di, no_key = secret_fraction(i_ab, chi, nominal_beta)
+                        di, no_key = secret_fraction(i_ab, chi, NOMINAL_BETA)
                         sr = (res.kept_frames / config.duration_s) * di
                     else:
                         di = sr = None
@@ -383,9 +395,7 @@ class OptimizeEntry:
     qber: float | None = None
 
     def to_dict(self) -> dict:
-        return {"n_bits": self.n_bits, "feasible": self.feasible,
-                "tau_ps": self.tau_ps, "bins_per_slot": self.bins_per_slot,
-                "raw_rate_bps": self.raw_rate_bps, "qber": self.qber}
+        return asdict(self)
 
 
 def optimize(config: SimConfig, qber_cap: float = 0.05,

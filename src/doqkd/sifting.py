@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ProtocolAbort
+from .errors import ConfigError, ProtocolAbort
 from .timetags import Basis, Party, TagStream
 
 
@@ -42,28 +42,6 @@ class FrameFormat:
     @property
     def frame_width_ps(self) -> int:
         return self.slots_per_frame * self.slot_width_ps
-
-
-@dataclass(frozen=True)
-class TimeAddress:
-    frame: int
-    slot: int
-    bin: int
-
-
-def assign_address(t: int, fmt: FrameFormat) -> TimeAddress:
-    """Decompose a timestamp into (frame, slot, bin)."""
-    if t < 0:
-        raise ValueError("timestamp must be >= 0")
-    frame, rem = divmod(int(t), fmt.frame_width_ps)
-    slot, rem = divmod(rem, fmt.slot_width_ps)
-    return TimeAddress(frame, slot, rem // fmt.bin_width_ps)
-
-
-def _addresses(times: np.ndarray, fmt: FrameFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    frames, rem = np.divmod(times, fmt.frame_width_ps)
-    slots, rem = np.divmod(rem, fmt.slot_width_ps)
-    return frames, slots, rem // fmt.bin_width_ps
 
 
 def _complete_frames(tags: TagStream, fmt: FrameFormat) -> int:
@@ -100,12 +78,6 @@ def _single_event_arrays(tags: TagStream, fmt: FrameFormat
     return f, slots, rem // fmt.bin_width_ps, int(np.count_nonzero(runs >= 2))
 
 
-def single_event_frames(tags: TagStream, fmt: FrameFormat) -> dict[int, TimeAddress]:
-    """Map frame -> TimeAddress for frames containing exactly one tag."""
-    f, s, b, _ = _single_event_arrays(tags, fmt)
-    return {int(fi): TimeAddress(int(fi), int(si), int(bi)) for fi, si, bi in zip(f, s, b)}
-
-
 def _sorted_intersect(a: np.ndarray, b: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intersection of two sorted unique arrays: (common, idx_a, idx_b)."""
@@ -127,17 +99,11 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, elementwise over uint64 (wrapping arithmetic)."""
     x = (x + np.uint64(_SM_GAMMA)).astype(np.uint64)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_M1)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_M2)
     return x ^ (x >> np.uint64(31))
-
-
-def _splitmix64_int(x: int) -> int:
-    x = (x + _SM_GAMMA) & _U64
-    x = ((x ^ (x >> 30)) * _SM_M1) & _U64
-    x = ((x ^ (x >> 27)) * _SM_M2) & _U64
-    return x ^ (x >> 31)
 
 
 def security_mask(times: np.ndarray, fraction: float, seed: int,
@@ -151,7 +117,7 @@ def security_mask(times: np.ndarray, fraction: float, seed: int,
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     frames = (times // fmt.frame_width_ps).astype(np.int64).view(np.uint64)
-    salt = np.uint64(_splitmix64_int(seed & _U64))
+    salt = _splitmix64(np.array([seed & _U64], np.uint64))[0]
     h = _splitmix64(frames ^ salt)
     threshold = np.uint64(int(fraction * 2.0**64))
     return h < threshold
@@ -172,6 +138,12 @@ class MessageType(IntEnum):
     FRAMES = 1
     BINS = 2
     ABORT = 3
+
+
+_BINS_RECORD = np.dtype([("frame", "<i8"), ("bin", "u1")])
+# payload bytes per counted record
+_RECORD_BYTES = {MessageType.FRAMES: 8, MessageType.BINS: _BINS_RECORD.itemsize,
+                 MessageType.ABORT: 0}
 
 
 @dataclass(frozen=True)
@@ -202,7 +174,7 @@ class Transcript:
             if m.msg_type == MessageType.FRAMES:
                 out += m.frames.astype("<i8").tobytes()
             elif m.msg_type == MessageType.BINS:
-                rec = np.zeros(m.count, dtype=[("frame", "<i8"), ("bin", "u1")])
+                rec = np.zeros(m.count, _BINS_RECORD)
                 rec["frame"] = m.frames
                 rec["bin"] = m.bins
                 out += rec.tobytes()
@@ -210,13 +182,20 @@ class Transcript:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transcript":
+        """Parse sift-v1 bytes; malformed input raises ConfigError."""
         # senders follow protocol convention: Alice, Bob, Alice, ...
         order = (Party.ALICE, Party.BOB, Party.ALICE)
         msgs = []
         off = 0
         while off < len(data):
+            if len(data) - off < 5:
+                raise ConfigError(f"sift-v1: truncated message header at byte {off}")
             mtype, count = struct.unpack_from("<BI", data, off)
             off += 5
+            if mtype not in _RECORD_BYTES:
+                raise ConfigError(f"sift-v1: unknown message type {mtype}")
+            if len(data) - off < _RECORD_BYTES[mtype] * count:
+                raise ConfigError(f"sift-v1: truncated payload at byte {off}")
             mtype = MessageType(mtype)
             sender = order[len(msgs)] if len(msgs) < 3 else Party.ALICE
             if mtype == MessageType.FRAMES:
@@ -224,9 +203,8 @@ class Transcript:
                 off += 8 * count
                 msgs.append(Message(sender, mtype, frames))
             elif mtype == MessageType.BINS:
-                rec = np.frombuffer(data, np.dtype([("frame", "<i8"), ("bin", "u1")]),
-                                    count, off)
-                off += 9 * count
+                rec = np.frombuffer(data, _BINS_RECORD, count, off)
+                off += _BINS_RECORD.itemsize * count
                 msgs.append(Message(sender, mtype, rec["frame"].astype(np.int64),
                                     rec["bin"].copy()))
             else:

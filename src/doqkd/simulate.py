@@ -221,6 +221,8 @@ class SimConfig:
             )
         except KeyError as e:
             raise ConfigError(f"missing config key: {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad config value: {e}") from e
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
@@ -258,14 +260,6 @@ class SessionTags:
     t2: TagStream
     f2: TagStream
 
-    @property
-    def alice(self) -> tuple[TagStream, TagStream]:
-        return (self.t1, self.f1)
-
-    @property
-    def bob(self) -> tuple[TagStream, TagStream]:
-        return (self.t2, self.f2)
-
     def stream(self, ch: Channel) -> TagStream:
         return {Channel.T1: self.t1, Channel.F1: self.f1,
                 Channel.T2: self.t2, Channel.F2: self.f2}[ch]
@@ -302,7 +296,12 @@ def simulate_session(config: SimConfig) -> SessionTags:
     }
     beta_res = beta_from_dispersion(ch.residual_dispersion_ps_per_nm, config.wavelength_nm)
 
-    parts: dict[Channel, list[dict]] = {c: [] for c in CHANNELS}
+    # per channel, a list of column dicts; the empty first part keeps the
+    # column dtypes when a channel records nothing
+    parts: dict[Channel, list[dict]] = {c: [dict(
+        times=np.empty(0, np.int64), pair_ids=np.empty(0, np.int64),
+        detunings=np.empty(0, float), emit_times=np.empty(0, np.int64))]
+        for c in CHANNELS}
 
     for chunk in range(n_chunks):
         start = chunk * CHUNK_PS
@@ -361,8 +360,7 @@ def simulate_session(config: SimConfig) -> SessionTags:
                     t += beta_res * om_phys
             in_freq = ~route[idx]
             if in_freq.any():
-                coeff = basis.coefficient(party)
-                t[in_freq] += coeff * om_phys[in_freq]
+                t[in_freq] += dispersive_shift(om_phys[in_freq], basis, party)
             for basis_kind, chan in ((Basis.TIME, Channel.T1 if party == Party.ALICE else Channel.T2),
                                      (Basis.FREQ, Channel.F1 if party == Party.ALICE else Channel.F2)):
                 sel = route[idx] if basis_kind == Basis.TIME else in_freq
@@ -393,24 +391,13 @@ def simulate_session(config: SimConfig) -> SessionTags:
                     emit_times=np.zeros(len(times), np.int64),
                 ))
 
-    streams = {}
+    streams = []
     for chan in CHANNELS:
-        if parts[chan]:
-            times = np.concatenate([p["times"] for p in parts[chan]])
-            order = np.argsort(times, kind="stable")
-            streams[chan] = TagStream(
-                times[order], chan, duration_ps,
-                pair_ids=np.concatenate([p["pair_ids"] for p in parts[chan]])[order],
-                detunings=np.concatenate([p["detunings"] for p in parts[chan]])[order],
-                emit_times=np.concatenate([p["emit_times"] for p in parts[chan]])[order],
-            )
-        else:
-            streams[chan] = TagStream(
-                np.empty(0, np.int64), chan, duration_ps,
-                pair_ids=np.empty(0, np.int64), detunings=np.empty(0, float),
-                emit_times=np.empty(0, np.int64))
-    return SessionTags(streams[Channel.T1], streams[Channel.F1],
-                       streams[Channel.T2], streams[Channel.F2])
+        cols = {k: np.concatenate([p[k] for p in parts[chan]]) for k in parts[chan][0]}
+        order = np.argsort(cols["times"], kind="stable")
+        cols = {k: v[order] for k, v in cols.items()}
+        streams.append(TagStream(cols.pop("times"), chan, duration_ps, **cols))
+    return SessionTags(*streams)
 
 
 # ---------------------------------------------------------------------------

@@ -36,31 +36,8 @@ class Channel(IntEnum):
     F2 = 3
 
     @property
-    def party(self) -> Party:
-        return Party.ALICE if self in (Channel.T1, Channel.F1) else Party.BOB
-
-    @property
     def basis(self) -> Basis:
         return Basis.TIME if self in (Channel.T1, Channel.T2) else Basis.FREQ
-
-
-@dataclass(frozen=True)
-class TimeTag:
-    """A single detection event.
-
-    ``pair_id``/``detuning``/``emit_time`` carry the simulator's ground-truth
-    annotation and are None for real or dark-count events.
-    """
-
-    timestamp: int
-    channel: Channel
-    pair_id: int | None = None
-    detuning: float | None = None
-    emit_time: int | None = None
-
-    @property
-    def has_truth(self) -> bool:
-        return self.pair_id is not None
 
 
 @dataclass
@@ -71,8 +48,8 @@ class TagStream:
     (ties allowed). The truth arrays are either None or full-length, with
     pair_id == -1 marking tags without annotation (dark counts).
 
-    A stream produced by :func:`merge_sorted` may span several channels; it
-    then has ``channel is None`` and a per-tag ``channels`` code array.
+    A stream read from a mixed-channel file spans several channels; it then
+    has ``channel is None`` and a per-tag ``channels`` code array.
     """
 
     times: np.ndarray
@@ -94,17 +71,6 @@ class TagStream:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def __getitem__(self, i: int) -> TimeTag:
-        ch = self.channel if self.channel is not None else Channel(int(self.channels[i]))
-        if self.pair_ids is not None and self.pair_ids[i] >= 0:
-            return TimeTag(int(self.times[i]), ch, int(self.pair_ids[i]),
-                           float(self.detunings[i]), int(self.emit_times[i]))
-        return TimeTag(int(self.times[i]), ch)
-
-    @property
-    def party(self) -> Party | None:
-        return self.channel.party if self.channel is not None else None
 
     @property
     def basis(self) -> Basis | None:
@@ -168,15 +134,6 @@ class CoincidenceHistogram:
     def bin_centers(self) -> np.ndarray:
         return (self.offset_min + self.bin_width * (np.arange(self.n_bins) + 0.5))
 
-    def rebinned(self, factor: int) -> "CoincidenceHistogram":
-        """Coarsen by an integer factor (bin count must divide)."""
-        if self.n_bins % factor != 0:
-            raise ValueError("bin count not divisible by factor")
-        c = self.counts.reshape(-1, factor).sum(axis=1)
-        return CoincidenceHistogram(self.bin_width * factor, self.offset_min,
-                                    self.offset_max, c, self.acquisition_time_s)
-
-
 @dataclass(frozen=True)
 class EffectiveRates:
     """Peak-bin coincidence rate and coincidence-to-accidental ratio."""
@@ -186,67 +143,6 @@ class EffectiveRates:
     peak_bin_offset: int
     accidental_rate_hz: float
     fwhm_ps: float
-
-
-def merge_sorted(streams: list[TagStream]) -> TagStream:
-    """Merge individually sorted streams into one sorted stream.
-
-    Stable for ties: tags from earlier streams precede later ones. All
-    streams must belong to the same party (or carry no party metadata).
-    """
-    parties = {s.party for s in streams if s.party is not None}
-    if len(parties) > 1:
-        raise ValueError("cannot merge streams from different parties")
-    if not streams:
-        return TagStream(np.empty(0, np.int64), None, 0, channels=np.empty(0, np.uint8))
-
-    times = np.concatenate([s.times for s in streams])
-    chans = np.concatenate([
-        np.full(len(s), s.channel, np.uint8) if s.channels is None else s.channels
-        for s in streams
-    ])
-    order = np.argsort(times, kind="stable")
-    duration = max(s.duration_ps for s in streams)
-    channels = {int(c) for c in np.unique(chans)} if len(chans) else set()
-    single = Channel(channels.pop()) if len(channels) == 1 else None
-
-    truth = None
-    if all(s.has_truth() for s in streams) and streams:
-        truth = dict(
-            pair_ids=np.concatenate([s.pair_ids for s in streams])[order],
-            detunings=np.concatenate([s.detunings for s in streams])[order],
-            emit_times=np.concatenate([s.emit_times for s in streams])[order],
-        )
-    return TagStream(times[order], single, duration,
-                     channels=None if single is not None else chans[order],
-                     **(truth or {}))
-
-
-def find_coincidences(a: TagStream, b: TagStream, window_halfwidth: int,
-                      center_offset: int = 0) -> list[tuple[int, int]]:
-    """Greedy earliest-unmatched-first pairing of two sorted streams.
-
-    Returns index pairs (i, j) with |(t_b[j] - t_a[i]) - center_offset| <=
-    window_halfwidth; each tag is used at most once. The result is symmetric
-    under swapping streams with a negated center offset.
-    """
-    if window_halfwidth <= 0:
-        raise ValueError("window_halfwidth must be > 0")
-    ta = a.times
-    tb = b.times
-    pairs: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(ta) and j < len(tb):
-        d = int(tb[j]) - int(ta[i]) - center_offset
-        if d < -window_halfwidth:
-            j += 1
-        elif d > window_halfwidth:
-            i += 1
-        else:
-            pairs.append((i, j))
-            i += 1
-            j += 1
-    return pairs
 
 
 def coincidence_histogram(a: TagStream, b: TagStream, bin_width: int,
@@ -287,29 +183,16 @@ def coincidence_histogram(a: TagStream, b: TagStream, bin_width: int,
     return CoincidenceHistogram(bin_width, lo, hi, counts, acquisition_time_s)
 
 
-def _peak_floor(h: CoincidenceHistogram) -> tuple[int, float, np.ndarray]:
-    """Locate the maximum bin and estimate the accidental floor.
+def accidental_floor(counts: np.ndarray, peak: int, halfwidth: int
+                     ) -> tuple[float | None, np.ndarray]:
+    """Accidental floor of a histogram and the mask of the bins it averages.
 
-    The floor is the mean of bins outside +/-3x a first-pass width estimate
-    around the peak (first pass: crossings of half the raw maximum).
+    The floor is the mean of the bins more than ``halfwidth`` bins away from
+    ``peak``; it is None when no bin lies that far out.
     """
-    counts = h.counts.astype(float)
-    peak = int(np.argmax(counts))
-    half = counts[peak] / 2.0
-    left = peak
-    while left > 0 and counts[left - 1] >= half:
-        left -= 1
-    right = peak
-    while right < h.n_bins - 1 and counts[right + 1] >= half:
-        right += 1
-    first_width = max(right - left + 1, 1)
-    excl = 3 * first_width
-    mask = np.ones(h.n_bins, bool)
-    mask[max(0, peak - excl):peak + excl + 1] = False
-    # a "peak" spanning the whole histogram leaves no floor bins; fall back
-    # to the median so flat histograms are rejected downstream
-    floor = float(counts[mask].mean()) if mask.any() else float(np.median(counts))
-    return peak, floor, mask
+    outside = np.ones(counts.size, bool)
+    outside[max(0, peak - halfwidth):peak + halfwidth + 1] = False
+    return (float(counts[outside].mean()) if outside.any() else None), outside
 
 
 def fwhm(h: CoincidenceHistogram) -> float:
@@ -320,7 +203,20 @@ def fwhm(h: CoincidenceHistogram) -> float:
     Raises NoPeakError when the maximum is below 5x the floor.
     """
     counts = h.counts.astype(float)
-    peak, floor, _ = _peak_floor(h)
+    peak = int(np.argmax(counts))
+    # the floor excludes +/-3x a first-pass width around the peak: the run
+    # of bins at or above half the raw maximum
+    half = counts[peak] / 2.0
+    left = right = peak
+    while left > 0 and counts[left - 1] >= half:
+        left -= 1
+    while right < h.n_bins - 1 and counts[right + 1] >= half:
+        right += 1
+    floor, _ = accidental_floor(counts, peak, 3 * (right - left + 1))
+    if floor is None:
+        # a "peak" spanning the whole histogram leaves no floor bins; the
+        # median then rejects flat histograms below
+        floor = float(np.median(counts))
     if counts[peak] <= 0 or (floor > 0 and counts[peak] < 5.0 * floor):
         raise NoPeakError("histogram has no peak above the accidental floor")
     half = floor + (counts[peak] - floor) / 2.0
@@ -351,10 +247,9 @@ def effective_rates(h: CoincidenceHistogram) -> EffectiveRates:
     width = fwhm(h)  # raises NoPeakError on flat input
     counts = h.counts.astype(float)
     peak = int(np.argmax(counts))
-    excl_bins = max(int(math.ceil(3.0 * width / h.bin_width)), 1)
-    mask = np.ones(h.n_bins, bool)
-    mask[max(0, peak - excl_bins):peak + excl_bins + 1] = False
-    floor = float(counts[mask].mean()) if mask.any() else 0.0
+    floor, _ = accidental_floor(counts, peak,
+                                max(math.ceil(3.0 * width / h.bin_width), 1))
+    floor = floor or 0.0
 
     t = h.acquisition_time_s
     rate = counts[peak] / t

@@ -13,8 +13,8 @@ import pytest
 import doqkd as dq
 from doqkd.postproc import reconcile_key
 from doqkd.security import Baseline, holevo_bound, mutual_information
-from doqkd.session import (SPLIT_SEED_SALT, align_bob, analyze_security,
-                           compute_baseline, optimize, run_experiment)
+from doqkd.session import (align_bob, analyze_security, compute_baseline,
+                           optimize, run_experiment, split_seed)
 from doqkd.sifting import (FrameFormat, pack_symbols, run_sifting,
                            split_security_fraction)
 from doqkd.timetags import Channel, TagStream, coincidence_histogram, effective_rates, fwhm
@@ -44,7 +44,7 @@ def test_02_effective_rate_curve_shape(session25):
     tags = session25["tags"]
     fmt = FrameFormat(cfg.format_n_bits, cfg.format_bins_per_slot,
                       cfg.format_bin_width_ps)
-    seed = cfg.seed ^ SPLIT_SEED_SALT
+    seed = split_seed(cfg)
     _, key1 = split_security_fraction(tags.t1, cfg.security_fraction, seed, fmt)
     _, key2 = split_security_fraction(tags.t2, cfg.security_fraction, seed, fmt)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from doqkd.cli import main
+from doqkd.io import TTAG_DTYPE
 from doqkd.simulate import paper_default_config
 
 
@@ -114,6 +115,21 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text("{}")
     assert main(["keygen", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["keygen", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_malformed_input_exit_codes(tmp_path):
+    # a stream file with a negative timestamp
+    rec = np.zeros(2, TTAG_DTYPE)
+    rec["timestamp"] = [-5, 10]
+    for name in ("t1", "f1", "t2", "f2"):
+        (tmp_path / f"{name}.ttag").write_bytes(rec.tobytes())
+    assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path)]) == 2
+    # a non-integer seed in the config file
+    d = paper_default_config().to_dict()
+    d["seed"] = "not-a-seed"
+    bad = tmp_path / "bad_seed.json"
+    bad.write_text(json.dumps(d))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_sweep_and_optimize(cli_cfg, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from doqkd.errors import ConfigError
-from doqkd.io import read_csv, read_ttag, truth_path, write_csv, write_ttag
+from doqkd.io import (TTAG_DTYPE, read_csv, read_ttag, truth_path, write_csv,
+                      write_ttag)
 from doqkd.timetags import Channel, TagStream
 
 
@@ -44,12 +45,10 @@ def test_ttag_roundtrip_truth(tmp_path):
 
 
 def test_ttag_mixed_channels(tmp_path):
-    from doqkd.timetags import merge_sorted
-    a = TagStream(np.array([1, 5]), Channel.T1, 100)
-    b = TagStream(np.array([3]), Channel.F1, 100)
-    merged = merge_sorted([a, b])
+    mixed = TagStream(np.array([1, 3, 5]), None, 100,
+                      channels=np.array([0, 1, 0], np.uint8))
     p = tmp_path / "m.ttag"
-    write_ttag(p, merged)
+    write_ttag(p, mixed)
     back = read_ttag(p, 100)
     assert back.channel is None
     assert back.channels.tolist() == [0, 1, 0]
@@ -58,6 +57,15 @@ def test_ttag_mixed_channels(tmp_path):
 def test_ttag_truncated_rejected(tmp_path):
     p = tmp_path / "bad.ttag"
     p.write_bytes(b"\x00" * 15)
+    with pytest.raises(ConfigError):
+        read_ttag(p)
+
+
+def test_ttag_negative_timestamp_rejected(tmp_path):
+    rec = np.zeros(2, TTAG_DTYPE)
+    rec["timestamp"] = [-5, 10]
+    p = tmp_path / "neg.ttag"
+    p.write_bytes(rec.tobytes())
     with pytest.raises(ConfigError):
         read_ttag(p)
 

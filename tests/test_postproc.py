@@ -53,17 +53,17 @@ class TestEfficiency:
 
 class TestSelectRate:
     def test_low_error_picks_high_rate(self):
-        assert select_rate(0.001, 16384) == 0.8
+        assert select_rate(0.001) == 0.8
 
     def test_five_percent_operating_point(self):
-        r = select_rate(0.05, 16384, min_overhead=1.25)
+        r = select_rate(0.05, min_overhead=1.25)
         assert r == 0.625
 
     def test_session_bit_error_picks_075(self):
-        assert select_rate(0.026, 16384, min_overhead=1.25) == 0.75
+        assert select_rate(0.026, min_overhead=1.25) == 0.75
 
     def test_hopeless_falls_to_lowest(self):
-        assert select_rate(0.45, 16384) == 0.5
+        assert select_rate(0.45) == 0.5
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from doqkd.errors import ProtocolAbort
-from doqkd.sifting import (FrameFormat, MessageType, Transcript, assign_address,
-                           pack_symbols, qber, run_sifting, security_mask,
-                           single_event_frames, split_security_fraction,
+from doqkd.errors import DoqkdError, ProtocolAbort
+from doqkd.sifting import (FrameFormat, MessageType, Transcript,
+                           _single_event_arrays, pack_symbols, qber, run_sifting,
+                           security_mask, split_security_fraction,
                            unpack_symbols)
 from doqkd.timetags import Channel, TagStream
 
@@ -16,6 +16,21 @@ def tstream(times, channel=Channel.T1, duration=None):
     if duration is None:
         duration = int(times[-1]) + 1 if times.size else 0
     return TagStream(times, channel, duration)
+
+
+def single_event_frames(tags, fmt):
+    """Map frame -> (slot, bin) over the frames the sifting round keeps as
+    single-event frames."""
+    f, s, b, _ = _single_event_arrays(tags, fmt)
+    return {int(fi): (int(si), int(bi)) for fi, si, bi in zip(f, s, b)}
+
+
+def address(t, fmt):
+    """(frame, slot, bin) of a lone tag at t, as the sifting round reads it."""
+    frame_end = (t // fmt.frame_width_ps + 1) * fmt.frame_width_ps
+    (frame, (slot, b)), = single_event_frames(tstream([t], duration=frame_end),
+                                             fmt).items()
+    return frame, slot, b
 
 
 class TestFrameFormat:
@@ -33,16 +48,14 @@ class TestFrameFormat:
 
 class TestAssignAddress:
     def test_zero(self):
-        a = assign_address(0, FrameFormat(2, 3, 100))
-        assert (a.frame, a.slot, a.bin) == (0, 0, 0)
+        assert address(0, FrameFormat(2, 3, 100)) == (0, 0, 0)
 
     def test_spec_example(self):
-        a = assign_address(10_000, FrameFormat(4, 3, 160))
-        assert (a.frame, a.slot, a.bin) == (1, 4, 2)
+        assert address(10_000, FrameFormat(4, 3, 160)) == (1, 4, 2)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            assign_address(-1, FrameFormat(1, 1, 1))
+            address(-1, FrameFormat(1, 1, 1))
 
     def test_roundtrip_property(self):
         rng = np.random.default_rng(2)
@@ -50,12 +63,12 @@ class TestAssignAddress:
             fmt = FrameFormat(int(rng.integers(1, 7)), int(rng.integers(1, 6)),
                               int(rng.integers(1, 400)))
             t = int(rng.integers(0, 10**10))
-            a = assign_address(t, fmt)
-            lo = (a.frame * fmt.frame_width_ps + a.slot * fmt.slot_width_ps
-                  + a.bin * fmt.bin_width_ps)
+            frame, slot, b = address(t, fmt)
+            lo = (frame * fmt.frame_width_ps + slot * fmt.slot_width_ps
+                  + b * fmt.bin_width_ps)
             assert lo <= t < lo + fmt.bin_width_ps
-            assert 0 <= a.slot < fmt.slots_per_frame
-            assert 0 <= a.bin < fmt.bins_per_slot
+            assert 0 <= slot < fmt.slots_per_frame
+            assert 0 <= b < fmt.bins_per_slot
 
 
 class TestSingleEventFrames:
@@ -90,11 +103,11 @@ class TestSingleEventFrames:
                 groups.setdefault(f, []).append(int(t))
         expect = {f: v[0] for f, v in groups.items() if len(v) == 1}
         assert set(got) == set(expect)
-        for f, addr in got.items():
+        for f, (slot, b) in got.items():
             t = expect[f]
             rem = t - f * fmt.frame_width_ps
-            assert addr.slot == rem // fmt.slot_width_ps
-            assert addr.bin == (rem % fmt.slot_width_ps) // fmt.bin_width_ps
+            assert slot == rem // fmt.slot_width_ps
+            assert b == (rem % fmt.slot_width_ps) // fmt.bin_width_ps
 
 
 class TestSplit:
@@ -277,3 +290,18 @@ class TestPackedKeysAndTranscript:
         assert back.to_bytes() == raw
         assert [m.msg_type for m in back.messages] == \
             [m.msg_type for m in res.transcript.messages]
+
+    @pytest.mark.parametrize("cut", [3, 9])
+    def test_truncated_transcript_rejected(self, cut):
+        rng = np.random.default_rng(24)
+        fmt = FrameFormat(2, 3, 90)
+        a = tstream(np.unique(rng.integers(0, 10**6, 500)), duration=10**6)
+        b = tstream(np.unique(rng.integers(0, 10**6, 500)), Channel.T2,
+                    duration=10**6)
+        raw = run_sifting(a, b, fmt).transcript.to_bytes()
+        with pytest.raises(DoqkdError):
+            Transcript.from_bytes(raw[:cut])
+
+    def test_unknown_message_type_rejected(self):
+        with pytest.raises(DoqkdError):
+            Transcript.from_bytes(bytes([7, 0, 0, 0, 0]))

@@ -53,6 +53,12 @@ class TestModels:
         with pytest.raises(ConfigError):
             SimConfig.load(p)
 
+    def test_non_integer_seed_rejected(self):
+        d = paper_default_config().to_dict()
+        d["seed"] = "not-a-seed"
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(d)
+
 
 class TestDispersiveShift:
     def test_zero_detuning(self):

@@ -5,8 +5,7 @@ import pytest
 
 from doqkd.errors import NoPeakError
 from doqkd.timetags import (Channel, CoincidenceHistogram, TagStream,
-                            coincidence_histogram, effective_rates,
-                            find_coincidences, fwhm, merge_sorted)
+                            coincidence_histogram, effective_rates, fwhm)
 
 
 def stream(times, channel=Channel.T1, duration=None):
@@ -16,77 +15,10 @@ def stream(times, channel=Channel.T1, duration=None):
     return TagStream(times, channel, duration)
 
 
-class TestMergeSorted:
-    def test_two_lists(self):
-        out = merge_sorted([stream([100, 300]), stream([200], Channel.F1)])
-        assert out.times.tolist() == [100, 200, 300]
-
-    def test_empty(self):
-        out = merge_sorted([stream([]), stream([], Channel.F1)])
-        assert len(out) == 0
-
-    def test_matches_full_resort(self):
-        rng = np.random.default_rng(1)
-        streams = []
-        for ch in range(10):
-            t = np.sort(rng.integers(0, 10**9, 10**5))
-            streams.append(stream(t, Channel(ch % 2), duration=10**9))
-        merged = merge_sorted(streams)
-        assert len(merged) == sum(len(s) for s in streams)
-        expect = np.sort(np.concatenate([s.times for s in streams]), kind="stable")
-        np.testing.assert_array_equal(merged.times, expect)
-
-    def test_party_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            merge_sorted([stream([1], Channel.T1), stream([2], Channel.T2)])
-
+class TestTagStream:
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
             stream([5, 1])
-
-
-class TestFindCoincidences:
-    def test_single_pair(self):
-        a = stream([1000, 5000])
-        b = stream([1100, 9000], Channel.T2)
-        assert find_coincidences(a, b, 200, 0) == [(0, 0)]
-
-    def test_empty(self):
-        assert find_coincidences(stream([]), stream([100], Channel.T2), 50) == []
-
-    def test_matches_greedy_oracle(self):
-        rng = np.random.default_rng(7)
-        a = stream(np.sort(rng.integers(0, 10**7, 10**4)))
-        b = stream(np.sort(rng.integers(0, 10**7, 10**4)), Channel.T2)
-        got = find_coincidences(a, b, 300, 50)
-
-        used_b = set()
-        expect = []
-        for i, ta in enumerate(a.times):
-            for j, tb in enumerate(b.times):
-                if j in used_b:
-                    continue
-                d = int(tb) - int(ta) - 50
-                if d > 300:
-                    break
-                if -300 <= d:
-                    expect.append((i, j))
-                    used_b.add(j)
-                    break
-        assert got == expect
-
-    def test_swap_symmetry(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = stream(np.sort(rng.integers(0, 10**5, 200)))
-            b = stream(np.sort(rng.integers(0, 10**5, 180)), Channel.T2)
-            fwd = find_coincidences(a, b, 90, 25)
-            rev = find_coincidences(b, a, 90, -25)
-            assert fwd == [(i, j) for (j, i) in rev]
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            find_coincidences(stream([1]), stream([1], Channel.T2), 0)
 
 
 class TestCoincidenceHistogram:
@@ -120,9 +52,16 @@ class TestCoincidenceHistogram:
         a = stream(np.sort(rng.integers(0, 10**8, 5000)), duration=10**8)
         b = stream(np.sort(rng.integers(0, 10**8, 5000)), Channel.T2, duration=10**8)
         fine = coincidence_histogram(a, b, 30, (-3000, 3000))
-        assert fine.rebinned(2).total == fine.total
-        np.testing.assert_array_equal(fine.rebinned(2).counts,
-                                      fine.counts.reshape(-1, 2).sum(axis=1))
+        coarse = coincidence_histogram(a, b, 60, (-3000, 3000))
+        assert coarse.total == fine.total
+        np.testing.assert_array_equal(coarse.counts, rebin(fine, 2).counts)
+
+
+def rebin(h, factor):
+    """Coarsen a histogram by an integer factor (the bin count must divide)."""
+    return CoincidenceHistogram(h.bin_width * factor, h.offset_min, h.offset_max,
+                                h.counts.reshape(-1, factor).sum(axis=1),
+                                h.acquisition_time_s)
 
 
 def gaussian_histogram(sigma, bin_width, amplitude=1e6, half_range=1000, floor=0.0):
@@ -152,7 +91,7 @@ class TestFwhm:
 
     def test_rebinned_consistency(self):
         h = gaussian_histogram(sigma=100.0, bin_width=10)
-        assert abs(fwhm(h.rebinned(2)) - fwhm(h)) <= 20.0
+        assert abs(fwhm(rebin(h, 2)) - fwhm(h)) <= 20.0
 
 
 class TestEffectiveRates:
@@ -180,7 +119,7 @@ class TestEffectiveRates:
         sa = stream(a, duration=dur)
         sb = stream(b2, Channel.T2, duration=dur)
         h1 = coincidence_histogram(sa, sb, 30, (-3840, 3840))
-        h2 = h1.rebinned(2)
+        h2 = coincidence_histogram(sa, sb, 60, (-3840, 3840))
         f1 = effective_rates(h1).accidental_rate_hz
         f2 = effective_rates(h2).accidental_rate_hz
         assert f2 == pytest.approx(2 * f1, rel=0.15)
