@@ -202,10 +202,12 @@ def run_experiment(config: SimConfig, baseline: Baseline | None = None) -> Sessi
         singles = tags.singles_rates_hz()
 
     with _stage("security"):
-        sec, key_t1, key_t2 = split_time_streams(tags, config, fmt)
-        hists, tfcm = _estimate(sec, config)
+        # the baseline first: its session is the largest, and the split
+        # streams need not be alive while it is simulated
         if baseline is None:
             baseline = compute_baseline(config)
+        sec, key_t1, key_t2 = split_time_streams(tags, config, fmt)
+        hists, tfcm = _estimate(sec, config)
         xi_t, xi_w, chi = security_figures(tfcm, baseline)
         i_gauss = gaussian_time_information(tfcm, baseline)
 

@@ -393,10 +393,12 @@ def simulate_session(config: SimConfig) -> SessionTags:
 
     streams = []
     for chan in CHANNELS:
-        cols = {k: np.concatenate([p[k] for p in parts[chan]]) for k in parts[chan][0]}
-        order = np.argsort(cols["times"], kind="stable")
-        cols = {k: v[order] for k, v in cols.items()}
-        streams.append(TagStream(cols.pop("times"), chan, duration_ps, **cols))
+        times = np.concatenate([p["times"] for p in parts[chan]])
+        order = np.argsort(times, kind="stable")
+        # one column at a time, so only one unsorted copy is alive at once
+        truth = {k: np.concatenate([p[k] for p in parts[chan]])[order]
+                 for k in ("pair_ids", "detunings", "emit_times")}
+        streams.append(TagStream(times[order], chan, duration_ps, **truth))
     return SessionTags(*streams)
 
 
