@@ -49,7 +49,7 @@ def write_ttag(path: str | Path, stream: TagStream) -> None:
     Path(path).write_bytes(rec.tobytes())
 
 
-def _sorted_stream(path, times: np.ndarray, chans: np.ndarray,
+def _sorted_stream(path: str | Path, times: np.ndarray, chans: np.ndarray,
                    duration_ps: int | None, **truth) -> TagStream:
     """One stream sorted by timestamp; negative timestamps are rejected."""
     if times.size and times.min() < 0:

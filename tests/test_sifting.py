@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from doqkd.errors import DoqkdError, ProtocolAbort
-from doqkd.sifting import (FrameFormat, MessageType, Transcript,
+from doqkd.sifting import (FrameFormat, Message, MessageType, Transcript,
                            _single_event_arrays, pack_symbols, qber, run_sifting,
                            security_mask, split_security_fraction,
                            unpack_symbols)
-from doqkd.timetags import Channel, TagStream
+from doqkd.timetags import Channel, Party, TagStream
 
 from reference_sifting import reference_sift
 
@@ -293,12 +293,8 @@ class TestPackedKeysAndTranscript:
 
     @pytest.mark.parametrize("cut", [3, 9])
     def test_truncated_transcript_rejected(self, cut):
-        rng = np.random.default_rng(24)
-        fmt = FrameFormat(2, 3, 90)
-        a = tstream(np.unique(rng.integers(0, 10**6, 500)), duration=10**6)
-        b = tstream(np.unique(rng.integers(0, 10**6, 500)), Channel.T2,
-                    duration=10**6)
-        raw = run_sifting(a, b, fmt).transcript.to_bytes()
+        msg = Message(Party.ALICE, MessageType.FRAMES, np.array([4, 9], np.int64))
+        raw = Transcript([msg]).to_bytes()
         with pytest.raises(DoqkdError):
             Transcript.from_bytes(raw[:cut])
 
