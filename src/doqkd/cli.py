@@ -11,11 +11,11 @@ from pathlib import Path
 
 from .errors import ConfigError, DoqkdError, ProtocolAbort, StageError
 from .io import read_ttag, write_json, write_ttag
-from .security import Baseline
 from .session import (CODE_SEED, DEFAULT_I_GRID, DEFAULT_N_GRID,
                       DEFAULT_TAU_GRID, PA_SEED_SALT, analyze_security,
-                      four_basis_histograms, histogram_summaries, optimize,
-                      run_experiment, security_figures, sweep)
+                      baseline_from_tags, four_basis_histograms,
+                      histogram_summaries, optimize, run_experiment,
+                      security_figures, sweep)
 from .sifting import FrameFormat, pack_symbols, qber, run_sifting
 from .simulate import SessionTags, SimConfig, paper_default_config, simulate_session
 from .timetags import Channel, TagStream
@@ -126,10 +126,9 @@ def cmd_sift(args) -> int:
 def cmd_secure(args) -> int:
     cfg = _load_config(args)
     tags = _load_session_dir(args.indir, cfg.duration_ps)
-    base_tags = _load_session_dir(args.baseline, cfg.duration_ps)
+    base_tags = _load_session_dir(args.baseline, cfg.baseline_config().duration_ps)
     _, tfcm = analyze_security(tags, cfg)
-    _, tfcm0 = analyze_security(base_tags, cfg)
-    baseline = Baseline(tfcm0)
+    baseline = baseline_from_tags(base_tags, cfg)
     xi_t, xi_w, chi = security_figures(tfcm, baseline)
     report = {"xi_t": xi_t, "xi_w": xi_w, "chi_ae_bpc": chi,
               "tfcm": tfcm.matrix.tolist(),

@@ -25,11 +25,11 @@ from .security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
                        estimate_tfcm, excess_noise, gaussian_time_information,
                        holevo_bound, mutual_information, secret_fraction,
                        shannon_info)
-from .sifting import (FrameFormat, pack_symbols, qber, run_sifting,
-                      security_mask, split_security_fraction)
+from .sifting import (FrameFormat, common_offsets, match_bins, pack_symbols,
+                      qber, run_sifting, security_mask, single_events,
+                      split_security_fraction)
 from .simulate import SessionTags, SimConfig, simulate_session
-from .timetags import (Channel, TagStream, coincidence_histogram,
-                       effective_rates)
+from .timetags import TagStream, coincidence_histogram, effective_rates
 
 SPLIT_SEED_SALT = 0x53504C49
 PA_SEED_SALT = 0x50414D50
@@ -133,12 +133,18 @@ def security_figures(tfcm: Tfcm, baseline: Baseline) -> tuple[float, float, floa
     return xi_t, xi_w, holevo_bound(tfcm, baseline)
 
 
+def baseline_from_tags(tags: SessionTags, config: SimConfig) -> Baseline:
+    """Covariances of ``config``'s back-to-back session, split and binned
+    under ``config.baseline_config()`` as that session was run."""
+    _, tfcm = analyze_security(tags, config.baseline_config())
+    return Baseline(tfcm)
+
+
 def compute_baseline(config: SimConfig) -> Baseline:
     """Run the back-to-back reference session and estimate its covariances."""
     bcfg = config.baseline_config()
     tags = align_bob(simulate_session(bcfg), bcfg.channel.propagation_delay_ps)
-    _, tfcm = analyze_security(tags, bcfg)
-    return Baseline(tfcm)
+    return baseline_from_tags(tags, config)
 
 
 @dataclass
@@ -325,6 +331,39 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
+def _key_offsets(tags: SessionTags, config: SimConfig, fmt: FrameFormat
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """In-frame offsets of the key-side frames single on both sides; depends
+    on ``fmt`` only through its frame width. The split is keyed on the frame,
+    so the unsplit streams are sifted and only the common frames hashed."""
+    width = fmt.frame_width_ps
+    fa, ta, _ = single_events(tags.t1, width)
+    fb, tb, _ = single_events(tags.t2, width)
+    common, off_a, off_b = common_offsets(fa, ta, fb, tb, width)
+    key = np.flatnonzero(~security_mask(common * width, config.security_fraction,
+                                        split_seed(config), fmt))
+    return off_a[key], off_b[key]
+
+
+def _sweep_row(fmt: FrameFormat, off_a: np.ndarray, off_b: np.ndarray,
+               chi: float | None, duration_s: float) -> SweepRow:
+    """One grid point's row from the key-side offsets of its frame width."""
+    n, i_bins, tau = fmt.n_bits, fmt.bins_per_slot, fmt.bin_width_ps
+    _, _, key_a, key_b = match_bins(off_a, off_b, fmt)
+    kept = key_a.size
+    if kept == 0:
+        return SweepRow(n, i_bins, tau, 0.0, None, None, None,
+                        "aborted:no-kept-frames")
+    q = qber(key_a, key_b)
+    if chi is not None and kept >= 1000:
+        i_ab = mutual_information(key_a, key_b, fmt.slots_per_frame)
+        di, _ = secret_fraction(i_ab, chi, NOMINAL_BETA)
+        sr = (kept / duration_s) * di
+    else:
+        di = sr = None
+    return SweepRow(n, i_bins, tau, n * kept / duration_s, q, di, sr)
+
+
 def sweep(config: SimConfig,
           tau_list: tuple[int, ...] = DEFAULT_TAU_GRID,
           i_list: tuple[int, ...] = DEFAULT_I_GRID,
@@ -333,10 +372,12 @@ def sweep(config: SimConfig,
     """Re-sift one simulated dataset over the whole format grid.
 
     Tags are generated once per seed and re-split/re-sifted per grid point,
-    so curves isolate format effects from Monte-Carlo noise. The secret-rate
-    column combines per-point empirical information with the session-level
-    eavesdropper bound at a nominal reconciliation efficiency; it is a
-    planning figure, not a per-point reconciliation run.
+    so curves isolate format effects from Monte-Carlo noise. Grid points
+    with equal frame width share one split, single-event and intersection
+    pass; each point then only splits the common frames' offsets into slot
+    and bin. The secret-rate column combines per-point empirical information
+    with the session-level eavesdropper bound at a nominal reconciliation
+    efficiency; it is a planning figure, not a per-point reconciliation run.
     """
     if not tau_list or not i_list or not n_list:
         raise ValueError("sweep grids must be non-empty")
@@ -349,41 +390,16 @@ def sweep(config: SimConfig,
     except DoqkdError:
         chi = None
 
-    seed = split_seed(config)
-    # times-only stream skeletons: re-splitting per grid point must not copy
-    # truth annotations around
-    t1_times, t2_times = tags.t1.times, tags.t2.times
-    dur_ps = tags.t1.duration_ps
-    rows = []
-    for n in n_list:
-        for i_bins in i_list:
-            for tau in tau_list:
-                fmt = FrameFormat(n, i_bins, tau)
-                try:
-                    m1 = security_mask(t1_times, config.security_fraction,
-                                       seed, fmt)
-                    m2 = security_mask(t2_times, config.security_fraction,
-                                       seed, fmt)
-                    key_t1 = TagStream(t1_times[~m1], Channel.T1, dur_ps)
-                    key_t2 = TagStream(t2_times[~m2], Channel.T2, dur_ps)
-                    res = run_sifting(key_t1, key_t2, fmt)
-                    raw = n * res.kept_frames / config.duration_s
-                    if res.kept_frames == 0:
-                        rows.append(SweepRow(n, i_bins, tau, 0.0, None, None, None,
-                                             "aborted:no-kept-frames"))
-                        continue
-                    q = qber(res.key_a, res.key_b)
-                    if chi is not None and res.kept_frames >= 1000:
-                        i_ab = mutual_information(res.key_a, res.key_b,
-                                                  fmt.slots_per_frame)
-                        di, no_key = secret_fraction(i_ab, chi, NOMINAL_BETA)
-                        sr = (res.kept_frames / config.duration_s) * di
-                    else:
-                        di = sr = None
-                    rows.append(SweepRow(n, i_bins, tau, raw, q, di, sr))
-                except DoqkdError as e:
-                    rows.append(SweepRow(n, i_bins, tau, 0.0, None, None, None,
-                                         f"aborted:{e}"))
+    formats = [FrameFormat(n, i_bins, tau)
+               for n in n_list for i_bins in i_list for tau in tau_list]
+    by_width: dict[int, list[int]] = {}
+    for k, fmt in enumerate(formats):
+        by_width.setdefault(fmt.frame_width_ps, []).append(k)
+    rows = [None] * len(formats)
+    for members in by_width.values():
+        off_a, off_b = _key_offsets(tags, config, formats[members[0]])
+        for k in members:
+            rows[k] = _sweep_row(formats[k], off_a, off_b, chi, config.duration_s)
     return SweepTable(rows)
 
 

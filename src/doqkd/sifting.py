@@ -44,49 +44,54 @@ class FrameFormat:
         return self.slots_per_frame * self.slot_width_ps
 
 
-def _complete_frames(tags: TagStream, fmt: FrameFormat) -> int:
+def _complete_frames(tags: TagStream, frame_width_ps: int) -> int:
     """Number of whole frames in the session; the trailing partial frame is dropped."""
     if tags.duration_ps > 0:
-        return tags.duration_ps // fmt.frame_width_ps
+        return tags.duration_ps // frame_width_ps
     if len(tags) == 0:
         return 0
-    return int(tags.times[-1]) // fmt.frame_width_ps + 1
+    return int(tags.times[-1]) // frame_width_ps + 1
 
 
-def _single_event_arrays(tags: TagStream, fmt: FrameFormat
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(frames, slots, bins, multi_frame_count) over frames with exactly one
-    tag; the trailing partial frame is dropped. Single pass over the sorted
-    stream."""
+def single_events(tags: TagStream, frame_width_ps: int
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(frames, times, multi_frame_count) of the tags alone in their frame;
+    the trailing partial frame is dropped. Single pass over the sorted stream."""
     t = tags.times
-    n_frames = _complete_frames(tags, fmt)
     # sorted stream: the partial-frame tail is a suffix
-    t = t[:np.searchsorted(t, n_frames * fmt.frame_width_ps)]
-    if t.size == 0:
-        e = np.empty(0, np.int64)
-        return e, e.copy(), e.copy(), 0
-    frames = t // fmt.frame_width_ps
-    change = np.flatnonzero(frames[1:] != frames[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [frames.size]))
-    runs = ends - starts
-    single = runs == 1
-    idx = starts[single]
-    f = frames[idx]
-    rem = t[idx] - f * fmt.frame_width_ps
-    slots, rem = np.divmod(rem, fmt.slot_width_ps)
-    return f, slots, rem // fmt.bin_width_ps, int(np.count_nonzero(runs >= 2))
+    t = t[:np.searchsorted(t, _complete_frames(tags, frame_width_ps) * frame_width_ps)]
+    frames = t // frame_width_ps
+    # first[k]: tag k opens a frame's run; first[size] closes the last run
+    first = np.ones(frames.size + 1, bool)
+    first[1:-1] = frames[1:] != frames[:-1]
+    single = np.flatnonzero(first[:-1] & first[1:])
+    return frames[single], t[single], int(np.count_nonzero(first[:-1] & ~first[1:]))
 
 
-def _sorted_intersect(a: np.ndarray, b: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intersection of two sorted unique arrays: (common, idx_a, idx_b)."""
-    ia = np.searchsorted(a, b)
-    hit = np.zeros(b.size, bool)
-    valid = ia < a.size
-    hit[valid] = a[ia[valid]] == b[valid]
-    ib = np.nonzero(hit)[0]
-    return b[hit], ia[hit], ib
+def common_offsets(frames_a: np.ndarray, times_a: np.ndarray,
+                   frames_b: np.ndarray, times_b: np.ndarray, frame_width_ps: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(common frames, Alice's offsets, Bob's offsets) over the frames in
+    both parties' ``single_events``; offsets are tag times within the frame."""
+    ia = np.searchsorted(frames_a, frames_b)
+    hit = np.zeros(frames_b.size, bool)
+    valid = ia < frames_a.size
+    hit[valid] = frames_a[ia[valid]] == frames_b[valid]
+    ib = np.flatnonzero(hit)
+    common = frames_b[ib]
+    start = common * frame_width_ps
+    return common, times_a[ia[ib]] - start, times_b[ib] - start
+
+
+def match_bins(offsets_a: np.ndarray, offsets_b: np.ndarray, fmt: FrameFormat
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Bob's bins, bins-agree mask, Alice's slots, Bob's slots) over common
+    frames' offsets; the slots are those of the frames whose bins agree."""
+    slots_a, rem_a = np.divmod(offsets_a, fmt.slot_width_ps)
+    slots_b, rem_b = np.divmod(offsets_b, fmt.slot_width_ps)
+    bins_b = rem_b // fmt.bin_width_ps
+    match = rem_a // fmt.bin_width_ps == bins_b
+    return bins_b, match, slots_a[match], slots_b[match]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +231,8 @@ class SiftResult:
     fmt: FrameFormat
 
     def __post_init__(self):
-        assert len(self.key_a) == len(self.key_b) == self.kept_frames
+        if not len(self.key_a) == len(self.key_b) == self.kept_frames:
+            raise ValueError("key lengths disagree with kept_frames")
 
 
 def run_sifting(alice: TagStream, bob: TagStream, fmt: FrameFormat,
@@ -248,20 +254,21 @@ def run_sifting(alice: TagStream, bob: TagStream, fmt: FrameFormat,
         exc.transcript = transcript
         raise exc
 
-    fa, sa, ba, multi_a = _single_event_arrays(alice, fmt)
-    fb, sb, bb, multi_b = _single_event_arrays(bob, fmt)
+    width = fmt.frame_width_ps
+    fa, ta, multi_a = single_events(alice, width)
+    fb, tb, multi_b = single_events(bob, width)
 
     transcript.append(Message(Party.ALICE, MessageType.FRAMES, fa))
-    common, ia, ib = _sorted_intersect(fa, fb)
+    common, off_a, off_b = common_offsets(fa, ta, fb, tb, width)
+    bins_b, match, key_a, key_b = match_bins(off_a, off_b, fmt)
     transcript.append(Message(Party.BOB, MessageType.BINS, common,
-                              bb[ib].astype(np.uint8)))
-    match = ba[ia] == bb[ib]
+                              bins_b.astype(np.uint8)))
     kept = common[match]
     transcript.append(Message(Party.ALICE, MessageType.FRAMES, kept))
 
     return SiftResult(
-        key_a=sa[ia][match].astype(np.int64),
-        key_b=sb[ib][match].astype(np.int64),
+        key_a=key_a,
+        key_b=key_b,
         kept_frame_ids=kept,
         kept_frames=int(kept.size),
         discarded_bin_mismatch=int(np.count_nonzero(~match)),

@@ -112,6 +112,13 @@ def dispersive_shift(detuning_rad_s: float, basis: DispersiveBasis, party: Party
     return basis.coefficient(party) * detuning_rad_s
 
 
+def _integer(value) -> int:
+    """A simcfg-v1 integer field; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigError(f"bad config value: expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SimConfig:
     """Full session configuration (simcfg-v1 on disk)."""
@@ -188,7 +195,7 @@ class SimConfig:
             channel = ChannelModel(
                 d["transmission"]["alice"], d["transmission"]["bob"],
                 d.get("residual_dispersion_ps_per_nm", 0.0),
-                int(d.get("propagation_delay_ps", 0)),
+                _integer(d.get("propagation_delay_ps", 0)),
                 d.get("eve_time_sigma_ps", 0.0),
                 d.get("eve_freq_sigma_rad_s", 0.0))
             detectors = {
@@ -206,22 +213,22 @@ class SimConfig:
             rec = d.get("reconciliation", {})
             return cls(
                 source, channel, detectors, basis,
-                duration_s=d["duration_s"], seed=int(d["seed"]),
+                duration_s=d["duration_s"], seed=_integer(d["seed"]),
                 wavelength_nm=wavelength,
                 security_fraction=d.get("security_fraction", 0.3),
-                format_n_bits=int(fmt.get("n_bits", 4)),
-                format_bins_per_slot=int(fmt.get("bins_per_slot", 3)),
-                format_bin_width_ps=int(fmt.get("bin_width_ps", 160)),
-                hist_bin_ps=int(hist.get("bin_ps", 30)),
-                hist_range_ps=int(hist.get("range_ps", 3840)),
-                block_length=int(rec.get("block_length", 16384)),
-                max_iterations=int(rec.get("max_iterations", 60)),
+                format_n_bits=_integer(fmt.get("n_bits", 4)),
+                format_bins_per_slot=_integer(fmt.get("bins_per_slot", 3)),
+                format_bin_width_ps=_integer(fmt.get("bin_width_ps", 160)),
+                hist_bin_ps=_integer(hist.get("bin_ps", 30)),
+                hist_range_ps=_integer(hist.get("range_ps", 3840)),
+                block_length=_integer(rec.get("block_length", 16384)),
+                max_iterations=_integer(rec.get("max_iterations", 60)),
                 min_overhead=float(rec.get("min_overhead", 1.25)),
                 baseline_duration_s=d.get("baseline", {}).get("duration_s"),
             )
         except KeyError as e:
             raise ConfigError(f"missing config key: {e}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"bad config value: {e}") from e
 
     def save(self, path: str | Path) -> None:

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import doqkd as dq
 from doqkd.session import align_bob, analyze_security, compute_baseline, sweep
 
 ACCEPT_SEED = 20260808
+
+# property tests run a fixed, bounded set of examples: the same on every run,
+# with no per-example time limit and no saved failures replayed
+settings.register_profile("doqkd", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("doqkd")
 
 
 @pytest.fixture(scope="session")

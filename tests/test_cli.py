@@ -7,6 +7,7 @@ import pytest
 
 from doqkd.cli import main
 from doqkd.io import TTAG_DTYPE
+from doqkd.session import run_experiment
 from doqkd.simulate import paper_default_config
 
 
@@ -78,6 +79,27 @@ def test_secure(cli_cfg, sim_dir, tmp_path_factory):
     assert {"xi_t", "xi_w", "chi_ae_bpc", "tfcm"} <= set(rep)
 
 
+def test_secure_chi_matches_keygen(tmp_path):
+    # the baseline recording is split as run_experiment splits its own
+    # baseline session, so both report the same chi(A;E)
+    cfg = paper_default_config(seed=5)
+    cfg.duration_s = cfg.baseline_duration_s = 0.2
+    cfg.block_length = 2048
+    dirs = []
+    for label, c in (("run", cfg), ("ref", cfg.baseline_config())):
+        d = tmp_path / label
+        d.mkdir()
+        c.save(d / "cfg.json")
+        assert main(["simulate", "--config", str(d / "cfg.json"),
+                     "--out", str(d)]) == 0
+        dirs.append(d)
+    out = tmp_path / "out"
+    assert main(["secure", "--in", str(dirs[0]), "--baseline", str(dirs[1]),
+                 "--config", str(dirs[0] / "cfg.json"), "--out", str(out)]) == 0
+    rep = json.loads((out / "security.json").read_text())
+    assert rep["chi_ae_bpc"] == run_experiment(cfg).security.chi_ae_bpc
+
+
 def test_keygen(cli_cfg, tmp_path):
     rc = main(["keygen", "--config", cli_cfg, "--out", str(tmp_path)])
     assert rc == 0
@@ -126,10 +148,12 @@ def test_malformed_input_exit_codes(tmp_path):
     assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path)]) == 2
     # a non-integer seed in the config file
     d = paper_default_config().to_dict()
-    d["seed"] = "not-a-seed"
-    bad = tmp_path / "bad_seed.json"
-    bad.write_text(json.dumps(d))
-    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    d["duration_s"] = 0.001
+    for seed in ("not-a-seed", 1.5, True):
+        d["seed"] = seed
+        bad = tmp_path / "bad_seed.json"
+        bad.write_text(json.dumps(d))
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_sweep_and_optimize(cli_cfg, tmp_path):

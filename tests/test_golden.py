@@ -128,7 +128,7 @@ GOLDEN = {
         "histograms.csv":
             "72c7df114882bc4ae04aa18c1d79e3ac21002b1fd0c3042ae6c660d22eb70bb0",
         "security.json":
-            "3991afff998737bda162be945543993b200ec100b8a2469a6758c4ea45eea711",
+            "31d93910e6f8f5daef03ee8c2cb26e32d9074b8c4792baf6930f13da32c84d98",
     },
 }
 

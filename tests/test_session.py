@@ -3,13 +3,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import doqkd as dq
-from doqkd.errors import StageError
-from doqkd.session import (NOMINAL_BETA, OptimizeEntry, align_bob, optimize,
-                           run_experiment, session_format, sweep)
-from doqkd.simulate import ChannelModel, DetectorModel, paper_default_config
-from doqkd.timetags import Channel
+from doqkd import session
+from doqkd.errors import EstimationError, StageError
+from doqkd.security import mutual_information, secret_fraction
+from doqkd.session import (NOMINAL_BETA, OptimizeEntry, SweepRow, align_bob,
+                           optimize, run_experiment, session_format,
+                           split_seed, sweep)
+from doqkd.sifting import (FrameFormat, qber, run_sifting,
+                           split_security_fraction)
+from doqkd.simulate import (ChannelModel, DetectorModel, SessionTags,
+                            paper_default_config)
+from doqkd.timetags import Channel, TagStream
 
 
 def tiny_cfg(**kw):
@@ -126,6 +134,100 @@ class TestSweep:
         table = sweep(cfg, tau_list=(10**9,), i_list=(3,), n_list=(4,), tags=tags)
         assert len(table) == 1
         assert table.rows[0].status.startswith("aborted:")
+
+
+def per_point_rows(config, tags, formats, chi):
+    """Reference sweep: split, sift and score each grid point on its own."""
+    seed = split_seed(config)
+    rows = []
+    for fmt in formats:
+        n, i_bins, tau = fmt.n_bits, fmt.bins_per_slot, fmt.bin_width_ps
+        _, key_t1 = split_security_fraction(tags.t1, config.security_fraction,
+                                            seed, fmt)
+        _, key_t2 = split_security_fraction(tags.t2, config.security_fraction,
+                                            seed, fmt)
+        res = run_sifting(key_t1, key_t2, fmt)
+        if res.kept_frames == 0:
+            rows.append(SweepRow(n, i_bins, tau, 0.0, None, None, None,
+                                 "aborted:no-kept-frames"))
+            continue
+        di = sr = None
+        if chi is not None and res.kept_frames >= 1000:
+            i_ab = mutual_information(res.key_a, res.key_b, fmt.slots_per_frame)
+            di, _ = secret_fraction(i_ab, chi, NOMINAL_BETA)
+            sr = (res.kept_frames / config.duration_s) * di
+        rows.append(SweepRow(n, i_bins, tau,
+                             n * res.kept_frames / config.duration_s,
+                             qber(res.key_a, res.key_b), di, sr))
+    return rows
+
+
+def property_tags(seed, n_a, n_b, span_ps, dur_a, dur_b):
+    """T1 uniform over the span; T2 jittered copies of some T1 tags plus
+    uniform noise. Durations: 0, the span, or half of it."""
+    rng = np.random.default_rng(seed)
+    t1 = np.sort(rng.integers(0, span_ps, n_a))
+    partners = rng.permutation(t1)[:n_b]
+    t2 = np.concatenate((partners + rng.integers(-2, 3, partners.size),
+                         rng.integers(0, span_ps, n_b - partners.size)))
+    t2 = np.sort(np.maximum(t2, 0))
+    dur = {"zero": 0, "span": span_ps, "half": span_ps // 2}
+    return SessionTags(TagStream(t1, Channel.T1, dur[dur_a]),
+                       TagStream(np.empty(0, np.int64), Channel.F1, 0),
+                       TagStream(t2, Channel.T2, dur[dur_b]),
+                       TagStream(np.empty(0, np.int64), Channel.F2, 0))
+
+
+durations = st.sampled_from(["zero", "span", "half"])
+small_grid = st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)
+
+
+class TestSweepKernel:
+    """The per-frame-width sweep equals the per-point split-and-sift path."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(0, 4000),
+           n_b=st.integers(0, 4000), span_ps=st.integers(1, 10**7),
+           dur_a=durations, dur_b=durations,
+           fraction=st.sampled_from([0.05, 0.3, 0.7]),
+           split=st.integers(0, 2**63 - 1),
+           tau_list=st.lists(st.integers(1, 60) | st.just(10**7), min_size=1,
+                             max_size=3, unique=True),
+           i_list=small_grid, n_list=small_grid,
+           chi=st.sampled_from([None, 0.25]))
+    # equal frame widths: (1,2,8) and (2,2,4) both give 32 ps
+    @example(seed=1, n_a=3000, n_b=3000, span_ps=10**6, dur_a="span",
+             dur_b="span", fraction=0.05, split=7, tau_list=[8, 4],
+             i_list=[2], n_list=[1, 2], chi=0.25)
+    # one empty side, no recorded duration
+    @example(seed=2, n_a=2000, n_b=0, span_ps=10**5, dur_a="zero",
+             dur_b="zero", fraction=0.3, split=8, tau_list=[5], i_list=[1, 3],
+             n_list=[2], chi=None)
+    # a frame wider than the session keeps no frames
+    @example(seed=3, n_a=500, n_b=500, span_ps=10**6, dur_a="span",
+             dur_b="half", fraction=0.3, split=9, tau_list=[10**7, 20],
+             i_list=[2], n_list=[3], chi=0.25)
+    def test_matches_per_point_path(self, seed, n_a, n_b, span_ps, dur_a,
+                                    dur_b, fraction, split, tau_list, i_list,
+                                    n_list, chi):
+        tags = property_tags(seed, n_a, n_b, span_ps, dur_a, dur_b)
+        cfg = paper_default_config(seed=split)
+        cfg.security_fraction = fraction
+        cfg.duration_s = 1e-3
+        formats = [FrameFormat(n, i_bins, tau)
+                   for n in n_list for i_bins in i_list for tau in tau_list]
+
+        def analyze_security(*_):
+            if chi is None:
+                raise EstimationError("no covariance estimate")
+            return None, None
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session, "analyze_security", analyze_security)
+            mp.setattr(session, "compute_baseline", lambda config: None)
+            mp.setattr(session, "holevo_bound", lambda tfcm, baseline: chi)
+            table = sweep(cfg, tuple(tau_list), tuple(i_list), tuple(n_list),
+                          tags=tags)
+        assert table.rows == per_point_rows(cfg, tags, formats, chi)
 
 
 class TestOptimize:

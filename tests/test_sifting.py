@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from doqkd.errors import DoqkdError, ProtocolAbort
 from doqkd.sifting import (FrameFormat, Message, MessageType, Transcript,
-                           _single_event_arrays, pack_symbols, qber, run_sifting,
-                           security_mask, split_security_fraction,
+                           match_bins, pack_symbols, qber, run_sifting,
+                           security_mask, single_events, split_security_fraction,
                            unpack_symbols)
 from doqkd.timetags import Channel, Party, TagStream
 
@@ -21,7 +23,9 @@ def tstream(times, channel=Channel.T1, duration=None):
 def single_event_frames(tags, fmt):
     """Map frame -> (slot, bin) over the frames the sifting round keeps as
     single-event frames."""
-    f, s, b, _ = _single_event_arrays(tags, fmt)
+    f, t, _ = single_events(tags, fmt.frame_width_ps)
+    off = t - f * fmt.frame_width_ps
+    b, _, s, _ = match_bins(off, off, fmt)
     return {int(fi): (int(si), int(bi)) for fi, si, bi in zip(f, s, b)}
 
 
@@ -240,6 +244,13 @@ class TestRunSifting:
         np.testing.assert_array_equal(res.key_b, kb)
         assert res.transcript.to_bytes() == tbytes
         assert res.discarded_multi_event == multi
+
+    def test_result_length_mismatch_rejected(self):
+        res = run_sifting(tstream([150], duration=400),
+                          tstream([160], Channel.T2, duration=400),
+                          FrameFormat(1, 2, 100))
+        with pytest.raises(ValueError):
+            dataclasses.replace(res, key_b=res.key_b[:0])
 
 
 class TestQber:
