@@ -2,8 +2,9 @@
 
 Each case pins the SHA-256 of outputs that a pure refactor must leave
 unchanged: the canonical session report and the key material of
-``run_experiment``, the CSV of a small ``sweep``, and the files written by
-CLI ``analyze`` and ``secure``. A change that alters the random stream on
+``run_experiment``, the CSV of a small ``sweep``, the files written by
+CLI ``analyze`` and ``secure``, and the four raw streams of
+``simulate_session``, truth columns included. A change that alters the random stream on
 purpose (simulator or code construction) updates these digests and says
 why in CHANGES.md; any other change must keep them byte-identical.
 
@@ -12,11 +13,13 @@ A mismatch prints the observed digests of the failing case.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from doqkd.cli import main
 from doqkd.session import run_experiment, sweep
-from doqkd.simulate import paper_default_config
+from doqkd.simulate import (CHANNELS, DetectorModel, paper_default_config,
+                            simulate_session)
 
 
 def sha(data: bytes) -> str:
@@ -81,6 +84,42 @@ def cli_digests(tmp) -> dict:
             for name in ("analysis.json", "histograms.csv", "security.json")}
 
 
+def simulate_config(name: str):
+    """Raw sessions through the simulator branches the other cases skip."""
+    if name == "branches":
+        # two chunks; correlation-time spread, residual dispersion, a delay that pushes
+        # Bob's tags across the chunk boundary, and 20 kHz dark counts
+        cfg = paper_default_config(seed=41, duration_s=0.3,
+                                   pair_rate_hz=4e6,
+                                   correlation_time_sigma_ps=25.0,
+                                   residual_dispersion_ps_per_nm=40.0,
+                                   propagation_delay_ps=5 * 7680 + 123)
+        cfg.detectors = {c: dataclasses.replace(d, dark_rate_hz=2e4)
+                         for c, d in cfg.detectors.items()}
+        return cfg
+    if name == "ties":
+        # zero jitter and a dense one-chunk stream: 17 pairs of equal
+        # timestamps within a channel, which pin the order of tied tags
+        cfg = paper_default_config(seed=42, duration_s=0.25, pair_rate_hz=1.2e7,
+                                   transmission={"alice": 1.0, "bob": 1.0})
+        cfg.detectors = {c: DetectorModel(1.0, 0.0, 5e4) for c in CHANNELS}
+        return cfg
+    raise KeyError(name)
+
+
+def simulate_digests(name: str) -> dict:
+    tags = simulate_session(simulate_config(name))
+    out = {}
+    for ch in CHANNELS:
+        s = tags.stream(ch)
+        out[f"{ch.name}_ties"] = int(np.count_nonzero(np.diff(s.times) == 0))
+        h = hashlib.sha256()
+        for col in (s.times, s.pair_ids, s.detunings, s.emit_times):
+            h.update(col.tobytes())
+        out[ch.name] = h.hexdigest()
+    return out
+
+
 GOLDEN = {
     "default": {
         "report":
@@ -130,6 +169,26 @@ GOLDEN = {
         "security.json":
             "31d93910e6f8f5daef03ee8c2cb26e32d9074b8c4792baf6930f13da32c84d98",
     },
+    "simulate_branches": {
+        "T1_ties": 0,
+        "T1": "bba55ace17c4b545bcf4a08284f08c576884a737f6893ce9e6e4bc9828ba5956",
+        "F1_ties": 0,
+        "F1": "3371903f2e140c3649949b1d2257f1f9d896ed00d9d6dee43a8839f6c463bdcb",
+        "T2_ties": 0,
+        "T2": "7a32bedd7b18b63810e8e63ca01ee0483383b69b101e7f3bd58b1bd10c3115ef",
+        "F2_ties": 0,
+        "F2": "f36e0199ebf215888f4a2b13e1e0e8d6b1585858d16a3344a50b5ecf909ebcb8",
+    },
+    "simulate_ties": {
+        "T1_ties": 7,
+        "T1": "0ca5ec9c5bf5156dd384e69fab4d601c57eb0cac6d7325367ce571b581170b68",
+        "F1_ties": 4,
+        "F1": "550364b2fc9d09c68ec1350604bd1e04e7bdc6d8985c1230f151b4c17a939a45",
+        "T2_ties": 4,
+        "T2": "7ff2b92bf2f4cb1fbd5b160590372c65fe68a2ade35159c882df9a497bfe67ac",
+        "F2_ties": 2,
+        "F2": "d10993a188c88e2ca16276fc9910b91966cd79b295f24c52dd4339db6edf7572",
+    },
 }
 
 
@@ -151,3 +210,8 @@ def test_sweep():
 
 def test_cli(tmp_path):
     check("cli", cli_digests(tmp_path))
+
+
+@pytest.mark.parametrize("name", ["branches", "ties"])
+def test_simulate(name):
+    check(f"simulate_{name}", simulate_digests(name))
