@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import doqkd as dq
 from doqkd.errors import CalibrationError, ConfigError
@@ -11,7 +13,7 @@ from doqkd.simulate import (FWHM_PER_SIGMA, CalibrationTargets, ChannelModel,
                             SourceModel, beta_from_dispersion, calibrate,
                             dispersive_shift, dispersion_spread_ps,
                             jitter_sigma_for_fwhm, paper_default_config,
-                            simulate_session)
+                            _stable_sort, simulate_session)
 from doqkd.timetags import Channel, Party, coincidence_histogram, fwhm
 
 
@@ -237,3 +239,22 @@ class TestCalibrate:
         b = simulate_session(c2)
         cut = np.searchsorted(b.t1.times, c1.duration_ps)
         np.testing.assert_array_equal(a.t1.times, b.t1.times[:cut])
+
+
+class TestStableSort:
+    @given(st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1),
+                    max_size=400))
+    @example([])
+    @example([5])
+    @example([7] * 300)
+    def test_matches_stable_argsort(self, values):
+        a = np.array(values, dtype=np.int64)
+        ordered, order = _stable_sort(a)
+        np.testing.assert_array_equal(order, np.argsort(a, kind="stable"))
+        np.testing.assert_array_equal(ordered, a[order])
+
+    def test_long_array_with_many_ties(self):
+        a = np.random.default_rng(3).integers(0, 1000, 200_000)
+        ordered, order = _stable_sort(a)
+        np.testing.assert_array_equal(order, np.argsort(a, kind="stable"))
+        np.testing.assert_array_equal(ordered, np.sort(a))
