@@ -12,7 +12,7 @@ from pathlib import Path
 from .errors import ConfigError, DoqkdError, ProtocolAbort, StageError
 from .io import read_ttag, write_json, write_ttag
 from .session import (CODE_SEED, DEFAULT_I_GRID, DEFAULT_N_GRID,
-                      DEFAULT_TAU_GRID, PA_SEED_SALT, analyze_security,
+                      DEFAULT_TAU_GRID, PA_SEED_SALT, align_bob, analyze_security,
                       baseline_from_tags, four_basis_histograms,
                       histogram_summaries, optimize, run_experiment,
                       security_figures, sweep)
@@ -125,7 +125,8 @@ def cmd_sift(args) -> int:
 
 def cmd_secure(args) -> int:
     cfg = _load_config(args)
-    tags = _load_session_dir(args.indir, cfg.duration_ps)
+    tags = align_bob(_load_session_dir(args.indir, cfg.duration_ps),
+                     cfg.channel.propagation_delay_ps)
     base_tags = _load_session_dir(args.baseline, cfg.baseline_config().duration_ps)
     _, tfcm = analyze_security(tags, cfg)
     baseline = baseline_from_tags(base_tags, cfg)
@@ -178,9 +179,12 @@ def _parse_grid(text: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
     if not text:
         return default
     try:
-        return tuple(int(x) for x in text.split(","))
+        grid = tuple(int(x) for x in text.split(","))
     except ValueError as e:
         raise ConfigError(f"bad grid '{text}'") from e
+    if min(grid) < 1:
+        raise ConfigError(f"bad grid '{text}': values must be >= 1")
+    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -196,6 +200,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if not 0.0 < args.qber_cap < 0.5:
+        raise ConfigError(f"--qber-cap must be in (0, 0.5), got {args.qber_cap}")
     cfg = _load_config(args)
     entries = optimize(cfg, qber_cap=args.qber_cap,
                        n_list=_parse_grid(args.n_list, DEFAULT_N_GRID),

@@ -381,6 +381,8 @@ def sweep(config: SimConfig,
     """
     if not tau_list or not i_list or not n_list:
         raise ValueError("sweep grids must be non-empty")
+    formats = [FrameFormat(n, i_bins, tau)
+               for n in n_list for i_bins in i_list for tau in tau_list]
     if tags is None:
         tags = align_bob(simulate_session(config), config.channel.propagation_delay_ps)
     try:
@@ -390,8 +392,6 @@ def sweep(config: SimConfig,
     except DoqkdError:
         chi = None
 
-    formats = [FrameFormat(n, i_bins, tau)
-               for n in n_list for i_bins in i_list for tau in tau_list]
     by_width: dict[int, list[int]] = {}
     for k, fmt in enumerate(formats):
         by_width.setdefault(fmt.frame_width_ps, []).append(k)

@@ -79,12 +79,9 @@ def test_secure(cli_cfg, sim_dir, tmp_path_factory):
     assert {"xi_t", "xi_w", "chi_ae_bpc", "tfcm"} <= set(rep)
 
 
-def test_secure_chi_matches_keygen(tmp_path):
-    # the baseline recording is split as run_experiment splits its own
-    # baseline session, so both report the same chi(A;E)
-    cfg = paper_default_config(seed=5)
-    cfg.duration_s = cfg.baseline_duration_s = 0.2
-    cfg.block_length = 2048
+def secure_chi(cfg, tmp_path) -> float:
+    """chi(A;E) of CLI ``secure`` on simulated recordings of ``cfg`` and of
+    its baseline session."""
     dirs = []
     for label, c in (("run", cfg), ("ref", cfg.baseline_config())):
         d = tmp_path / label
@@ -96,8 +93,25 @@ def test_secure_chi_matches_keygen(tmp_path):
     out = tmp_path / "out"
     assert main(["secure", "--in", str(dirs[0]), "--baseline", str(dirs[1]),
                  "--config", str(dirs[0] / "cfg.json"), "--out", str(out)]) == 0
-    rep = json.loads((out / "security.json").read_text())
-    assert rep["chi_ae_bpc"] == run_experiment(cfg).security.chi_ae_bpc
+    return json.loads((out / "security.json").read_text())["chi_ae_bpc"]
+
+
+def test_secure_chi_matches_keygen(tmp_path):
+    # the baseline recording is split as run_experiment splits its own
+    # baseline session, so both report the same chi(A;E)
+    cfg = paper_default_config(seed=5)
+    cfg.duration_s = cfg.baseline_duration_s = 0.2
+    cfg.block_length = 2048
+    assert secure_chi(cfg, tmp_path) == run_experiment(cfg).security.chi_ae_bpc
+
+
+def test_secure_removes_propagation_delay(tmp_path):
+    # Bob's recordings carry the fiber delay; secure aligns them as
+    # run_experiment does before any histogram is taken
+    cfg = paper_default_config(seed=13, propagation_delay_ps=5 * 7680 + 123)
+    cfg.duration_s = cfg.baseline_duration_s = 0.2
+    cfg.block_length = 2048
+    assert secure_chi(cfg, tmp_path) == run_experiment(cfg).security.chi_ae_bpc
 
 
 def test_keygen(cli_cfg, tmp_path):
@@ -168,3 +182,20 @@ def test_sweep_and_optimize(cli_cfg, tmp_path):
     assert rc == 0
     entries = json.loads((tmp_path / "optimize.json").read_text())
     assert entries[0]["n_bits"] == 4
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("sweep", "--tau-list", "0"),
+    ("sweep", "--i-list", "3,-1"),
+    ("optimize", "--n-list", "0"),
+    ("optimize", "--qber-cap", "0.7"),
+    ("optimize", "--qber-cap", "0"),
+])
+def test_bad_grid_or_cap_exit_code(tmp_path, monkeypatch, command, option, value):
+    cfg = paper_default_config()
+    cfg.duration_s = cfg.baseline_duration_s = 0.01
+    cfg.save(tmp_path / "cfg.json")
+    # rejected before any session is simulated
+    monkeypatch.setattr("doqkd.session.simulate_session", None)
+    assert main([command, "--config", str(tmp_path / "cfg.json"),
+                 option, value, "--out", str(tmp_path)]) == 2
