@@ -342,7 +342,7 @@ def simulate_session(config: SimConfig) -> SessionTags:
 
         # Detection decisions first: most pairs are never seen. One uniform
         # per photon folds the 50:50 routing and the survival thinning; only
-        # the pairs with a detection are kept, in emission order.
+        # the pairs with a detection are kept, in draw order.
         p_t1 = p_route * surv[Channel.T1]
         p_f1 = p_route * surv[Channel.F1]
         p_t2 = p_route * surv[Channel.T2]
