@@ -3,8 +3,9 @@
 Each case pins the SHA-256 of outputs that a pure refactor must leave
 unchanged: the canonical session report and the key material of
 ``run_experiment``, the CSV of a small ``sweep``, the files written by
-CLI ``analyze`` and ``secure``, and the four raw streams of
-``simulate_session``, truth columns included. A change that alters the random stream on
+CLI ``analyze`` and ``secure``, the four raw streams of
+``simulate_session``, truth columns included, and the edge lists of the
+LDPC codes. A change that alters the random stream on
 purpose (simulator or code construction) updates these digests and says
 why in CHANGES.md; any other change must keep them byte-identical.
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from doqkd.cli import main
+from doqkd.ldpc import DEGREE_PROFILES, SUPPORTED_RATES, make_code, peg_construct
 from doqkd.session import run_experiment, sweep
 from doqkd.simulate import (CHANNELS, DetectorModel, paper_default_config,
                             simulate_session)
@@ -120,6 +122,13 @@ def simulate_digests(name: str) -> dict:
     return out
 
 
+def code_digest(code) -> str:
+    h = hashlib.sha256()
+    h.update(code.edge_var.astype("<i4").tobytes())
+    h.update(code.edge_chk.astype("<i4").tobytes())
+    return h.hexdigest()
+
+
 GOLDEN = {
     "default": {
         "report":
@@ -189,6 +198,28 @@ GOLDEN = {
         "F2_ties": 2,
         "F2": "d10993a188c88e2ca16276fc9910b91966cd79b295f24c52dd4339db6edf7572",
     },
+    "code": {
+        "2048_0.5":
+            "5920bfbc32c12cc18ba4d43203fbce96b51d4d75fd470212b031e6505889917e",
+        "2048_0.6":
+            "41c76478c09de81004d8fd502567bd8bb810dacb2413a0835095ac12ebaca88d",
+        "2048_0.625":
+            "21d9bbc39198861b0f31a55463c2a45a7a71c5fbb9827680f21754e7dfe333f1",
+        "2048_0.65":
+            "c85cc6c2f7680e6c375069724db5a42825238e3a922ca5e3741baaaca06c80ec",
+        "2048_0.7":
+            "8ce8613144db1ab7b56a887220568473f8b999b083aef5687d9aceac8694c1bc",
+        "2048_0.75":
+            "7e09fb80d99d46edc54512a2268c8fa4eab76b3700f37100e7318ca643168add",
+        "2048_0.8":
+            "624d55c76fee852436962377e223a2b7d6cd5bfc6d429b822bfaad02be73f1ff",
+        "16384_0.625":
+            "a2185d11834d58e595e4f0cfe2de258bcaa2d5945cd9de1a38fa9baabeeb94f5",
+        "peg_96_36":
+            "9103908052acaaefdbf3041f3cc158e923260761cc2322e810c7c4962496c4af",
+        "peg_12_5":
+            "8435f7320909ec663ecd035744b617521442ef75afc7b0cae07e6cb6112cac4c",
+    },
 }
 
 
@@ -215,3 +246,20 @@ def test_cli(tmp_path):
 @pytest.mark.parametrize("name", ["branches", "ties"])
 def test_simulate(name):
     check(f"simulate_{name}", simulate_digests(name))
+
+
+# 2048 is the golden sessions' block length. The two small PEG cases reach
+# the search branches the 2048-bit codes leave out: 96 x 36 falls back to
+# "any check not directly attached", and 12 x 5 to "any check at all".
+@pytest.mark.parametrize("case", [f"2048_{r}" for r in SUPPORTED_RATES]
+                         + ["16384_0.625", "peg_96_36", "peg_12_5"])
+def test_code(case, request):
+    if case == "16384_0.625":
+        code = request.getfixturevalue("code_0625")
+    elif case.startswith("2048_"):
+        code = make_code(2048, float(case[5:]))
+    else:
+        n, m = map(int, case[4:].split("_"))
+        code = peg_construct(n, m, 1, DEGREE_PROFILES[0.625])
+    assert code_digest(code) == GOLDEN["code"][case], (
+        f"golden gate 'code' case {case!r} changed; observed {code_digest(code)!r}")

@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from doqkd import ldpc
 from doqkd.errors import ReconciliationError
 from doqkd.ldpc import (DEGREE_PROFILES, LdpcCode, SUPPORTED_RATES,
                         decode_syndrome, make_code, peg_construct, syndrome)
+from reference_peg import reference_peg
 
 
 def dense(code):
@@ -57,6 +62,26 @@ class TestConstruction:
 
     def test_design_rate(self, small_code):
         assert small_code.rate == pytest.approx(0.625)
+
+    # small expansion caps make the level-3 search skip, and its frontier
+    # size land on the cap, in codes small enough to build twice per example
+    @given(n=st.integers(8, 320), rate=st.sampled_from(SUPPORTED_RATES),
+           seed=st.integers(0, 2**32 - 1), cap=st.integers(0, 64))
+    @example(n=96, rate=0.625, seed=1, cap=ldpc.EXPAND_CAP)
+    @example(n=12, rate=0.625, seed=1, cap=ldpc.EXPAND_CAP)
+    def test_matches_reference(self, n, rate, seed, cap):
+        m = int(round(n * (1.0 - rate)))
+        profile = DEGREE_PROFILES[rate]
+        with mock.patch.object(ldpc, "EXPAND_CAP", cap):
+            try:
+                edge_var, edge_chk = reference_peg(n, m, seed, profile, cap)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    peg_construct(n, m, seed, profile)
+                return
+            code = peg_construct(n, m, seed, profile)
+        np.testing.assert_array_equal(code.edge_var, edge_var)
+        np.testing.assert_array_equal(code.edge_chk, edge_chk)
 
 
 class TestSyndrome:
