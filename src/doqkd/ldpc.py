@@ -84,7 +84,7 @@ def _degree_sequence(n: int, profile) -> np.ndarray:
     return np.sort(seq)  # PEG processes low-degree variables first
 
 
-EXPAND_CAP = 800  # level-3 frontier size above which the expansion is skipped
+EXPAND_CAP = 800  # distance-5 frontier size above which the distance-7 search is skipped
 
 
 def peg_construct(n: int, m: int, seed: int,
@@ -100,104 +100,95 @@ def peg_construct(n: int, m: int, seed: int,
     saturates, which matches what an unbounded search picks in the dense
     regime), preferring low check degree with seeded tie-breaks. Fully
     deterministic in (n, m, seed, profile).
+
+    Check sets are packed little-endian bitsets of ``ceil(m / 64)`` words,
+    indexed by each check's seeded tie-break rank, so the preferred check
+    of a set is its lowest set bit at the lowest check degree. Row r of
+    ``near`` holds the checks that share a variable with check r; a
+    variable's rows are OR-ed in once all its edges are placed. Each search
+    level is the previous one plus the OR of its new members' rows.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, m)))
     degs = _degree_sequence(n, profile)
-    n_edges = int(degs.sum())
-    tiebreak = rng.permutation(m).astype(np.int64)
+    rank = rng.permutation(m)  # seeded tie-break among checks of equal degree
     n_deg2 = int(np.count_nonzero(degs == 2))
     if n_deg2 >= m:
         raise ValueError("degree-2 variables must be fewer than checks")
-
-    cap_v = int(degs.max())
-    cap_c = max(2 * n_edges // m + 8, 8)
-    var_adj = np.full((n, cap_v), -1, np.int32)
-    var_cnt = np.zeros(n, np.int32)
-    chk_adj = np.full((m, cap_c), -1, np.int32)
-    chk_cnt = np.zeros(m, np.int32)
-    chk_deg = np.zeros(m, np.int64)
-
-    edge_var = np.empty(n_edges, np.int32)
-    edge_chk = np.empty(n_edges, np.int32)
-    e = 0
-    all_true = np.ones(m, bool)
-    var_seen = np.zeros(n, bool)  # scratch for sort-free dedup
-
-    def uniq_vars(vs: np.ndarray) -> np.ndarray:
-        var_seen[vs] = True
-        out = np.nonzero(var_seen)[0]
-        var_seen[out] = False
-        return out
-
-    def pick(mask: np.ndarray) -> int:
-        # min degree, seeded tie-break, in one argmin pass
-        key = np.where(mask, chk_deg * m + tiebreak, np.iinfo(np.int64).max)
-        return int(np.argmin(key))
-
-    def add_edge(v: int, c: int) -> None:
-        nonlocal e, chk_adj
-        var_adj[v, var_cnt[v]] = c
-        var_cnt[v] += 1
-        if chk_cnt[c] >= chk_adj.shape[1]:
-            chk_adj = np.pad(chk_adj, ((0, 0), (0, 8)), constant_values=-1)
-        chk_adj[c, chk_cnt[c]] = v
-        chk_cnt[c] += 1
-        chk_deg[c] += 1
-        edge_var[e] = v
-        edge_chk[e] = c
-        e += 1
-
     # accumulator chain for the degree-2 variables (variables are sorted by
     # degree, so these are exactly the first n_deg2)
-    chain = rng.permutation(m)[:n_deg2 + 1]
-    for v in range(n_deg2):
-        add_edge(v, int(chain[v]))
-        add_edge(v, int(chain[v + 1]))
+    chain = rank[rng.permutation(m)[:n_deg2 + 1]]
 
-    for v in range(n_deg2, n):
+    words = -(-m // 64)
+    empty = np.zeros(words, "<u8")
+    near = np.zeros((m, words), "<u8")
+    # by_deg[i]: the checks of degree lo + i
+    lo, deg = 0, [0] * m
+    by_deg = [np.packbits(np.arange(words * 64) < m, bitorder="little").view("<u8")]
+    edge_var = np.repeat(np.arange(n, dtype=np.int32), degs)
+    edge_rank = np.empty(edge_var.size, np.int64)
+
+    def rows_of(bits: np.ndarray) -> np.ndarray:
+        members = np.unpackbits(bits.view(np.uint8), count=m, bitorder="little")
+        return np.bitwise_or.reduce(near.take(members.view(bool).nonzero()[0], axis=0))
+
+    def pick(taken: np.ndarray) -> int:
+        """Preferred check outside the set, or -1 when it holds every check."""
+        free = ~taken
+        for level in by_deg:
+            hit = level & free
+            w = hit.nonzero()[0]
+            if w.size:
+                word = int(hit[w[0]])
+                return int(w[0]) * 64 + (word & -word).bit_length() - 1
+        return -1
+
+    e = 0
+    for v in range(n):
+        # reached: the checks adjacent to v; n1: those plus the checks that
+        # share a variable with one of them. rows1 (rows2) is the OR of the
+        # rows of the checks in seen1 (seen2). The sets only grow while v's
+        # edges are placed, so each row is OR-ed in at most once per level.
+        # OR-ing all of n1's rows (n2's) gives the distance-5 (distance-7)
+        # set: the rows of reached lie in n1, and those of n1 in n2.
+        reached = n1 = seen1 = seen2 = rows1 = rows2 = empty
         for k in range(degs[v]):
-            if k == 0:
-                c = pick(all_true)
+            if v < n_deg2:
+                r = int(chain[v + k])
+            elif k == 0:
+                r = pick(empty)
             else:
-                direct = var_adj[v, :var_cnt[v]]
-                reached = np.zeros(m, bool)
-                reached[direct] = True
-                # distance-3 checks (one intermediate variable)
-                vs = chk_adj[direct, :].ravel()
-                vs = vs[vs >= 0]
-                n1 = reached.copy()
-                cs = var_adj[uniq_vars(vs), :].ravel()
-                n1[cs[cs >= 0]] = True
-                candidates = None
-                frontier = np.nonzero(n1 & ~reached)[0]
-                if frontier.size:
-                    # distance-5 checks (two intermediate variables)
-                    vs2 = chk_adj[frontier, :].ravel()
-                    vs2 = vs2[vs2 >= 0]
-                    n2 = n1.copy()
-                    cs2 = var_adj[uniq_vars(vs2), :].ravel()
-                    n2[cs2[cs2 >= 0]] = True
-                    frontier2 = np.nonzero(n2 & ~n1)[0]
-                    if not n2.all() and 0 < frontier2.size <= EXPAND_CAP:
-                        # distance-7 checks, expanded only while the search
-                        # frontier is small (it saturates in the dense phase)
-                        vs3 = chk_adj[frontier2, :].ravel()
-                        vs3 = vs3[vs3 >= 0]
-                        n3 = n2.copy()
-                        cs3 = var_adj[uniq_vars(vs3), :].ravel()
-                        n3[cs3[cs3 >= 0]] = True
-                        candidates = ~n3 if not n3.all() else ~n2
-                    elif not n2.all():
-                        candidates = ~n2
-                if candidates is None:
-                    candidates = ~n1
-                    if not candidates.any():
-                        candidates = ~reached
-                    if not candidates.any():
-                        candidates = all_true
-                c = pick(candidates)
-            add_edge(v, c)
+                r = -1
+                rows1 = rows1 | rows_of(n1 & ~seen1)
+                seen1 = n1
+                # distance-5 checks (two intermediate variables)
+                n2 = n1 | rows1
+                if int.from_bytes((n2 & ~n1).tobytes(), "little").bit_count() <= EXPAND_CAP:
+                    # distance-7 checks, expanded only while the search
+                    # frontier is small (it saturates in the dense phase)
+                    rows2 = rows2 | rows_of(n2 & ~seen2)
+                    seen2 = n2
+                    r = pick(n2 | rows2)
+                for taken in (n2, n1, reached, empty):
+                    if r < 0:
+                        r = pick(taken)
+            edge_rank[e] = r
+            e += 1
+            bit = np.zeros(words, "<u8")
+            bit[r >> 6] = 1 << (r & 63)
+            reached = reached | bit
+            n1 = n1 | near[r] | bit
+            i = deg[r] - lo
+            deg[r] += 1
+            if i + 1 == len(by_deg):
+                by_deg.append(empty.copy())
+            by_deg[i] ^= bit
+            by_deg[i + 1] |= bit
+            if i == 0 and not by_deg[0].any():
+                del by_deg[0]
+                lo += 1
+        near[edge_rank[e - degs[v]:e]] |= reached
 
+    edge_chk = np.argsort(rank).astype(np.int32)[edge_rank]
     return LdpcCode(n, m, seed, edge_var, edge_chk)
 
 
