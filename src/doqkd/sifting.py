@@ -30,6 +30,10 @@ class FrameFormat:
     def __post_init__(self):
         if self.n_bits < 1 or self.bins_per_slot < 1 or self.bin_width_ps < 1:
             raise ValueError("need n_bits >= 1, bins_per_slot >= 1, bin_width_ps >= 1")
+        # frame numbers and offsets are int64 arithmetic on int64 timestamps;
+        # n_bits is tested first so a huge one never builds a huge integer
+        if self.n_bits >= 63 or self.frame_width_ps > np.iinfo(np.int64).max:
+            raise ConfigError(f"frame width of {self} does not fit in int64")
 
     @property
     def slots_per_frame(self) -> int:
@@ -187,10 +191,9 @@ class Transcript:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transcript":
-        """Parse sift-v1 bytes; malformed input raises ConfigError."""
-        # senders follow protocol convention: Alice, Bob, Alice, ...
-        order = (Party.ALICE, Party.BOB, Party.ALICE)
-        msgs = []
+        """Parse sift-v1 bytes; malformed input, or a message sequence that
+        ``run_sifting`` cannot write, raises ConfigError."""
+        parsed = []
         off = 0
         while off < len(data):
             if len(data) - off < 5:
@@ -202,19 +205,31 @@ class Transcript:
             if len(data) - off < _RECORD_BYTES[mtype] * count:
                 raise ConfigError(f"sift-v1: truncated payload at byte {off}")
             mtype = MessageType(mtype)
-            sender = order[len(msgs)] if len(msgs) < 3 else Party.ALICE
             if mtype == MessageType.FRAMES:
                 frames = np.frombuffer(data, "<i8", count, off).astype(np.int64)
                 off += 8 * count
-                msgs.append(Message(sender, mtype, frames))
+                parsed.append((mtype, frames, None))
             elif mtype == MessageType.BINS:
                 rec = np.frombuffer(data, _BINS_RECORD, count, off)
                 off += _BINS_RECORD.itemsize * count
-                msgs.append(Message(sender, mtype, rec["frame"].astype(np.int64),
-                                    rec["bin"].copy()))
+                parsed.append((mtype, rec["frame"].astype(np.int64), rec["bin"].copy()))
+            elif count:
+                raise ConfigError(f"sift-v1: abort message with count {count}")
             else:
-                msgs.append(Message(sender, mtype, np.empty(0, np.int64)))
-        return cls(msgs)
+                parsed.append((mtype, np.empty(0, np.int64), None))
+        senders = _ROUNDS.get(tuple(mtype for mtype, _, _ in parsed))
+        if senders is None:
+            raise ConfigError("sift-v1: message sequence "
+                              f"{[mtype.name for mtype, _, _ in parsed]} is not a sifting round")
+        return cls([Message(sender, *msg) for sender, msg in zip(senders, parsed)])
+
+
+# the message sequences run_sifting writes, with their senders
+_ROUNDS = {
+    (MessageType.ABORT,): (Party.BOB,),
+    (MessageType.FRAMES, MessageType.BINS, MessageType.FRAMES):
+        (Party.ALICE, Party.BOB, Party.ALICE),
+}
 
 
 @dataclass

@@ -190,6 +190,9 @@ def test_sweep_and_optimize(cli_cfg, tmp_path):
     ("optimize", "--n-list", "0"),
     ("optimize", "--qber-cap", "0.7"),
     ("optimize", "--qber-cap", "0"),
+    # frames of 2**70 slots are wider than int64
+    ("sweep", "--n-list", "70"),
+    ("optimize", "--n-list", "4,70"),
 ])
 def test_bad_grid_or_cap_exit_code(tmp_path, monkeypatch, command, option, value):
     cfg = paper_default_config()
@@ -199,3 +202,14 @@ def test_bad_grid_or_cap_exit_code(tmp_path, monkeypatch, command, option, value
     monkeypatch.setattr("doqkd.session.simulate_session", None)
     assert main([command, "--config", str(tmp_path / "cfg.json"),
                  option, value, "--out", str(tmp_path)]) == 2
+
+
+def test_frame_wider_than_int64_exit_code(tmp_path, monkeypatch):
+    cfg = paper_default_config()
+    cfg.duration_s = cfg.baseline_duration_s = 0.01
+    cfg.format_n_bits = 70
+    cfg.save(tmp_path / "cfg.json")
+    # rejected before any session is simulated
+    monkeypatch.setattr("doqkd.session.simulate_session", None)
+    assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 2

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from doqkd.errors import DoqkdError, ProtocolAbort
+from doqkd.errors import ConfigError, DoqkdError, ProtocolAbort
 from doqkd.sifting import (FrameFormat, Message, MessageType, Transcript,
                            match_bins, pack_symbols, qber, run_sifting,
                            security_mask, single_events, split_security_fraction,
@@ -202,6 +202,7 @@ class TestRunSifting:
         # the abort survives a serialization round-trip
         back = Transcript.from_bytes(transcript.to_bytes())
         assert back.messages[-1].msg_type == MessageType.ABORT
+        assert [m.sender for m in back.messages] == [Party.BOB]
 
     def test_no_slot_numbers_in_transcript(self):
         rng = np.random.default_rng(12)
@@ -299,8 +300,8 @@ class TestPackedKeysAndTranscript:
         raw = res.transcript.to_bytes()
         back = Transcript.from_bytes(raw)
         assert back.to_bytes() == raw
-        assert [m.msg_type for m in back.messages] == \
-            [m.msg_type for m in res.transcript.messages]
+        assert [(m.sender, m.msg_type) for m in back.messages] == \
+            [(m.sender, m.msg_type) for m in res.transcript.messages]
 
     @pytest.mark.parametrize("cut", [3, 9])
     def test_truncated_transcript_rejected(self, cut):
@@ -308,6 +309,26 @@ class TestPackedKeysAndTranscript:
         raw = Transcript([msg]).to_bytes()
         with pytest.raises(DoqkdError):
             Transcript.from_bytes(raw[:cut])
+
+    # a sifting round is [ABORT] or FRAMES, BINS, FRAMES; anything else is
+    # extra, missing or reordered messages
+    @pytest.mark.parametrize("order", [(), (0, 1), (0, 1, 2, 2), (1, 0, 2),
+                                       (0, 2, 1), (0, 0, 0, 0, 0), (3, 3),
+                                       (0, 1, 2, 3), (3, 0, 1, 2)])
+    def test_impossible_sequence_rejected(self, order):
+        frames = np.array([1, 5, 9], np.int64)
+        msgs = [Message(Party.ALICE, MessageType.FRAMES, frames),
+                Message(Party.BOB, MessageType.BINS, frames[:2],
+                        np.array([0, 2], np.uint8)),
+                Message(Party.ALICE, MessageType.FRAMES, frames[:1]),
+                Message(Party.BOB, MessageType.ABORT, np.empty(0, np.int64))]
+        raw = Transcript([msgs[k] for k in order]).to_bytes()
+        with pytest.raises(ConfigError):
+            Transcript.from_bytes(raw)
+
+    def test_abort_with_records_rejected(self):
+        with pytest.raises(ConfigError):
+            Transcript.from_bytes(bytes([3, 1, 0, 0, 0]))
 
     def test_unknown_message_type_rejected(self):
         with pytest.raises(DoqkdError):
