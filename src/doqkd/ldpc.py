@@ -121,8 +121,8 @@ def peg_construct(n: int, m: int, seed: int,
     words = -(-m // 64)
     empty = np.zeros(words, "<u8")
     near = np.zeros((m, words), "<u8")
-    # by_deg[i]: the checks of degree lo + i
-    lo, deg = 0, [0] * m
+    # by_deg[i]: the checks of degree lo + i, sizes[i] of them
+    lo, deg, sizes = 0, [0] * m, [m]
     by_deg = [np.packbits(np.arange(words * 64) < m, bitorder="little").view("<u8")]
     edge_var = np.repeat(np.arange(n, dtype=np.int32), degs)
     edge_rank = np.empty(edge_var.size, np.int64)
@@ -162,7 +162,8 @@ def peg_construct(n: int, m: int, seed: int,
                 seen1 = n1
                 # distance-5 checks (two intermediate variables)
                 n2 = n1 | rows1
-                if int.from_bytes((n2 & ~n1).tobytes(), "little").bit_count() <= EXPAND_CAP:
+                frontier = int.from_bytes((n2 & ~n1).tobytes(), "little").bit_count()
+                if frontier <= EXPAND_CAP:
                     # distance-7 checks, expanded only while the search
                     # frontier is small (it saturates in the dense phase)
                     rows2 = rows2 | rows_of(n2 & ~seen2)
@@ -181,10 +182,13 @@ def peg_construct(n: int, m: int, seed: int,
             deg[r] += 1
             if i + 1 == len(by_deg):
                 by_deg.append(empty.copy())
+                sizes.append(0)
             by_deg[i] ^= bit
             by_deg[i + 1] |= bit
-            if i == 0 and not by_deg[0].any():
-                del by_deg[0]
+            sizes[i] -= 1
+            sizes[i + 1] += 1
+            if not sizes[0]:
+                del by_deg[0], sizes[0]
                 lo += 1
         near[edge_rank[e - degs[v]:e]] |= reached
 

@@ -153,6 +153,12 @@ _BINS_RECORD = np.dtype([("frame", "<i8"), ("bin", "u1")])
 # payload bytes per counted record
 _RECORD_BYTES = {MessageType.FRAMES: 8, MessageType.BINS: _BINS_RECORD.itemsize,
                  MessageType.ABORT: 0}
+# the message sequences run_sifting writes, with their senders
+_ROUNDS = {
+    (MessageType.ABORT,): (Party.BOB,),
+    (MessageType.FRAMES, MessageType.BINS, MessageType.FRAMES):
+        (Party.ALICE, Party.BOB, Party.ALICE),
+}
 
 
 @dataclass(frozen=True)
@@ -217,19 +223,12 @@ class Transcript:
                 raise ConfigError(f"sift-v1: abort message with count {count}")
             else:
                 parsed.append((mtype, np.empty(0, np.int64), None))
-        senders = _ROUNDS.get(tuple(mtype for mtype, _, _ in parsed))
+        types = tuple(mtype for mtype, _, _ in parsed)
+        senders = _ROUNDS.get(types)
         if senders is None:
-            raise ConfigError("sift-v1: message sequence "
-                              f"{[mtype.name for mtype, _, _ in parsed]} is not a sifting round")
+            raise ConfigError(f"sift-v1: message sequence {[t.name for t in types]} "
+                              "is not a sifting round")
         return cls([Message(sender, *msg) for sender, msg in zip(senders, parsed)])
-
-
-# the message sequences run_sifting writes, with their senders
-_ROUNDS = {
-    (MessageType.ABORT,): (Party.BOB,),
-    (MessageType.FRAMES, MessageType.BINS, MessageType.FRAMES):
-        (Party.ALICE, Party.BOB, Party.ALICE),
-}
 
 
 @dataclass
