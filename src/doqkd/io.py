@@ -83,7 +83,10 @@ def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
     truth = {}
     tp = truth_path(path)
     if tp.exists():
-        side = np.frombuffer(tp.read_bytes(), TRUTH_DTYPE)
+        side_raw = tp.read_bytes()
+        if len(side_raw) % TRUTH_DTYPE.itemsize:
+            raise ConfigError(f"{tp}: truncated side file")
+        side = np.frombuffer(side_raw, TRUTH_DTYPE)
         if len(side) != len(rec):
             raise ConfigError(f"{tp}: side file record count mismatch")
         pid = side["pair_id"].view(np.int64).copy()

@@ -2,13 +2,17 @@
 
 Codes are built by progressive edge growth (PEG) over a mildly irregular
 variable-degree profile, deterministically from a construction seed. The
-decoder is a vectorized log-domain sum-product run against a target
-syndrome; decoding succeeds only when the output syndrome matches exactly.
+decoder is a vectorized log-domain sum-product (flooding) run against a
+target syndrome; decoding succeeds only when the output syndrome matches
+exactly. It keeps per-edge state in check order, the layout a layered
+schedule runs over, and repeats the floating-point operations of the
+edge-order loop in ``tests/reference_decoder.py``, its test oracle, so both
+return the same bits after the same number of iterations.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,34 +38,36 @@ SUPPORTED_RATES = tuple(sorted(DEGREE_PROFILES))
 
 @dataclass
 class LdpcCode:
-    """Sparse parity-check code in edge-list form."""
+    """Sparse parity-check code in edge-list form.
+
+    Also holds the check-ordered layout the decoder runs over: edges sorted
+    stably by check (``_chk_var``: the variable of each), check and variable
+    degrees and reduceat starts, and the permutations between check order
+    and stable variable order (``_to_var``, ``_to_chk``).
+    """
 
     n: int
     m: int
     seed: int
     edge_var: np.ndarray   # variable index per edge
     edge_chk: np.ndarray   # check index per edge
-    # derived reduceat layouts
-    perm_by_chk: np.ndarray = field(repr=False, default=None)
-    chk_starts: np.ndarray = field(repr=False, default=None)
-    perm_by_var: np.ndarray = field(repr=False, default=None)
-    var_starts: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.m >= self.n:
             raise ValueError("syndrome length must be < block length")
-        if self.perm_by_chk is None:
-            self.perm_by_chk = np.argsort(self.edge_chk, kind="stable")
-            sorted_chk = self.edge_chk[self.perm_by_chk]
-            self.chk_starts = np.searchsorted(sorted_chk, np.arange(self.m))
-            self.perm_by_var = np.argsort(self.edge_var, kind="stable")
-            sorted_var = self.edge_var[self.perm_by_var]
-            self.var_starts = np.searchsorted(sorted_var, np.arange(self.n))
-        col_w = np.bincount(self.edge_var, minlength=self.n)
-        if col_w.min() < 2:
+        self._var_deg = np.bincount(self.edge_var, minlength=self.n)
+        if self._var_deg.min() < 2:
             raise ValueError("every column must have weight >= 2")
-        if np.bincount(self.edge_chk, minlength=self.m).min() < 1:
+        self._chk_deg = np.bincount(self.edge_chk, minlength=self.m)
+        if self._chk_deg.min() < 1:
             raise ValueError("zero-degree check row")
+        by_chk = np.argsort(self.edge_chk, kind="stable")
+        by_var = np.argsort(self.edge_var, kind="stable")
+        self._chk_var = self.edge_var[by_chk]
+        self._chk_starts = np.cumsum(self._chk_deg) - self._chk_deg
+        self._var_starts = np.cumsum(self._var_deg) - self._var_deg
+        self._to_var = np.argsort(by_chk)[by_var]
+        self._to_chk = np.argsort(self._to_var)
 
     @property
     def rate(self) -> float:
@@ -210,8 +216,7 @@ def syndrome(bits: np.ndarray, code: LdpcCode) -> np.ndarray:
     bits = np.asarray(bits, np.uint8)
     if bits.size != code.n:
         raise ReconciliationError(f"block length {bits.size} != {code.n}")
-    by_chk = bits[code.edge_var[code.perm_by_chk]].astype(np.int64)
-    return (np.add.reduceat(by_chk, code.chk_starts) & 1).astype(np.uint8)
+    return np.bitwise_xor.reduceat(bits.take(code._chk_var), code._chk_starts) & 1
 
 
 def decode_syndrome(bits: np.ndarray, target_syndrome: np.ndarray, code: LdpcCode,
@@ -230,36 +235,28 @@ def decode_syndrome(bits: np.ndarray, target_syndrome: np.ndarray, code: LdpcCod
     if not s_err.any():
         return bits.copy(), 0
 
-    pc, pv = code.perm_by_chk, code.perm_by_var
-    cs, vs = code.chk_starts, code.var_starts
-    evar = code.edge_var
-    sign_flip = (1.0 - 2.0 * s_err.astype(np.float64))  # +1 even target, -1 odd
-
+    # all per-edge state is in check order, except lr_var in variable order
+    cs, cdeg, vs, vdeg = code._chk_starts, code._chk_deg, code._var_starts, code._var_deg
+    # 2 on edges of checks with an even target parity, -2 on those with an odd one
+    flip = np.repeat((1.0 - 2.0 * s_err.astype(np.float64)) * 2.0, cdeg)
     l_ch = math.log((1.0 - crossover_prior) / crossover_prior)
     lq = np.full(code.n_edges, l_ch)
 
     for it in range(1, max_iters + 1):
         t = np.tanh(0.5 * np.clip(lq, -LLR_MAX, LLR_MAX))
-        mag = np.clip(np.abs(t), _TANH_EPS, 1.0 - _TANH_EPS)
-        neg = t < 0
-        log_by_chk = np.log(mag[pc])
-        neg_by_chk = neg[pc].astype(np.int64)
-        tot_log = np.add.reduceat(log_by_chk, cs)
-        tot_neg = np.add.reduceat(neg_by_chk, cs)
-        # extrinsic per edge (check-sorted layout)
-        chk_of_edge = code.edge_chk[pc]
-        ext_log = tot_log[chk_of_edge] - log_by_chk
-        ext_sign = 1.0 - 2.0 * ((tot_neg[chk_of_edge] - neg_by_chk) & 1)
-        ext = np.clip(ext_sign * np.exp(ext_log), -1.0 + _TANH_EPS, 1.0 - _TANH_EPS)
-        lr_sorted = sign_flip[chk_of_edge] * 2.0 * np.arctanh(ext)
-        lr = np.empty_like(lr_sorted)
-        lr[pc] = np.clip(lr_sorted, -LLR_MAX, LLR_MAX)
+        log_mag = np.log(np.clip(np.abs(t), _TANH_EPS, 1.0 - _TANH_EPS))
+        neg = (t < 0).view(np.uint8)
+        # extrinsic per edge: the check's total less the edge's own term
+        ext_log = np.repeat(np.add.reduceat(log_mag, cs), cdeg) - log_mag
+        ext_odd = np.repeat(np.bitwise_xor.reduceat(neg, cs), cdeg) ^ neg
+        ext = np.clip((1.0 - 2.0 * ext_odd) * np.exp(ext_log),
+                      -1.0 + _TANH_EPS, 1.0 - _TANH_EPS)
+        lr_var = np.clip(flip * np.arctanh(ext), -LLR_MAX, LLR_MAX).take(code._to_var)
 
-        tot_var = l_ch + np.add.reduceat(lr[pv], vs)
-        lq = tot_var[evar] - lr
+        tot_var = l_ch + np.add.reduceat(lr_var, vs)
+        lq = (np.repeat(tot_var, vdeg) - lr_var).take(code._to_chk)
 
-        e_hat = (tot_var < 0).astype(np.uint8)
-        par = (np.add.reduceat(e_hat[evar[pc]].astype(np.int64), cs) & 1).astype(np.uint8)
-        if np.array_equal(par, s_err):
+        e_hat = (tot_var < 0).view(np.uint8)
+        if np.array_equal(np.bitwise_xor.reduceat(e_hat.take(code._chk_var), cs), s_err):
             return bits ^ e_hat, it
     return None, max_iters

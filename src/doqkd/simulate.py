@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import CalibrationError, ConfigError
 from .io import read_json, write_json
+from .sifting import FrameFormat
 from .timetags import (PS_PER_SECOND, Basis, Channel, Party, TagStream,
                        coincidence_histogram, fwhm)
 
@@ -209,6 +210,9 @@ class SimConfig:
             basis = (DispersiveBasis(disp, beta) if beta is not None
                      else DispersiveBasis.from_dispersion(disp, wavelength))
             fmt = d.get("format", {})
+            frame = FrameFormat(_integer(fmt.get("n_bits", 4)),
+                                _integer(fmt.get("bins_per_slot", 3)),
+                                _integer(fmt.get("bin_width_ps", 160)))
             hist = d.get("histogram", {})
             rec = d.get("reconciliation", {})
             return cls(
@@ -216,9 +220,9 @@ class SimConfig:
                 duration_s=d["duration_s"], seed=_integer(d["seed"]),
                 wavelength_nm=wavelength,
                 security_fraction=d.get("security_fraction", 0.3),
-                format_n_bits=_integer(fmt.get("n_bits", 4)),
-                format_bins_per_slot=_integer(fmt.get("bins_per_slot", 3)),
-                format_bin_width_ps=_integer(fmt.get("bin_width_ps", 160)),
+                format_n_bits=frame.n_bits,
+                format_bins_per_slot=frame.bins_per_slot,
+                format_bin_width_ps=frame.bin_width_ps,
                 hist_bin_ps=_integer(hist.get("bin_ps", 30)),
                 hist_range_ps=_integer(hist.get("range_ps", 3840)),
                 block_length=_integer(rec.get("block_length", 16384)),

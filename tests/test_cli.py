@@ -213,3 +213,15 @@ def test_frame_wider_than_int64_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr("doqkd.session.simulate_session", None)
     assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("n_bits", 0), ("bins_per_slot", 0),
+                                        ("bin_width_ps", -160)])
+def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
+    d = paper_default_config().to_dict()
+    d["format"][key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(d))
+    # rejected when the config loads, before any session is simulated
+    monkeypatch.setattr("doqkd.session.simulate_session", None)
+    assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 2

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from doqkd.errors import ConfigError
 from doqkd.io import (TTAG_DTYPE, read_csv, read_ttag, truth_path, write_csv,
@@ -77,6 +81,87 @@ def test_ttag_side_count_mismatch(tmp_path):
     truth_path(p).write_bytes(truth_path(p).read_bytes()[:-24])
     with pytest.raises(ConfigError):
         read_ttag(p)
+
+
+def test_ttag_side_file_truncated(tmp_path):
+    s = truth_stream(100)
+    p = tmp_path / "x.ttag"
+    write_ttag(p, s)
+    truth_path(p).write_bytes(truth_path(p).read_bytes()[:-5])
+    with pytest.raises(ConfigError, match="truncated side file"):
+        read_ttag(p)
+
+
+@st.composite
+def ttag_files(draw):
+    """(ttag-v1 bytes, side-file bytes or None): records with any flags,
+    one of them perhaps with a bad channel code or a negative timestamp,
+    files cut or padded, and arbitrary bytes."""
+    recs = np.array(draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255),
+                                            st.integers(0, 2**63 - 1)), max_size=6)),
+                    TTAG_DTYPE)
+    if recs.size and draw(st.booleans()):
+        col, bad = draw(st.sampled_from([("channel", 4), ("channel", 255),
+                                         ("timestamp", -1), ("timestamp", -2**63)]))
+        recs[col][draw(st.integers(0, recs.size - 1))] = bad
+    main = recs.tobytes()
+    main = draw(st.sampled_from([main, main, main[:-1], main + b"\0", None]))
+    if main is None:
+        main = draw(st.binary(max_size=40))
+    whole = 24 * len(recs)
+    size = draw(st.sampled_from([None, whole, max(whole - 1, 0), whole + 24, 5]))
+    side = None if size is None else draw(st.binary(min_size=size, max_size=size))
+    return main, side
+
+
+@given(files=ttag_files())
+def test_ttag_bytes_parse_or_config_error(files):
+    main, side = files
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "x.ttag"
+        p.write_bytes(main)
+        if side is not None:
+            truth_path(p).write_bytes(side)
+        try:
+            back = read_ttag(p)
+        except ConfigError:
+            return
+    assert len(back) * TTAG_DTYPE.itemsize == len(main)
+    assert back.has_truth() == (side is not None)
+
+
+@st.composite
+def tag_streams(draw):
+    """Streams ttag-v1 represents exactly: sorted times on one channel, or
+    on several; truth, if any, is NaN and 0 wherever pair_id is -1."""
+    n = draw(st.integers(1, 12))
+    times = np.sort(np.array(draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)),
+                             np.int64))
+    duration = int(times[-1]) + draw(st.integers(1, 10**6))
+    codes = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), np.uint8)
+    single = np.unique(codes).size == 1
+    truth = {}
+    if draw(st.booleans()):
+        pid = np.array(draw(st.lists(st.integers(-1, 2**63 - 1), min_size=n, max_size=n)))
+        det = np.array(draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)))
+        emit = np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n,
+                                      max_size=n)), np.int64)
+        none = pid == -1
+        det[none], emit[none] = np.nan, 0
+        truth = dict(pair_ids=pid, detunings=det, emit_times=emit)
+    return TagStream(times, Channel(int(codes[0])) if single else None, duration,
+                     channels=None if single else codes, **truth)
+
+
+@given(s=tag_streams())
+def test_ttag_write_read_identity(s):
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "x.ttag"
+        write_ttag(p, s)
+        back = read_ttag(p, s.duration_ps)
+    assert (back.channel, back.duration_ps) == (s.channel, s.duration_ps)
+    for col in ("times", "channels", "pair_ids", "detunings", "emit_times"):
+        np.testing.assert_array_equal(getattr(back, col), getattr(s, col))
 
 
 def test_csv_roundtrip(tmp_path):

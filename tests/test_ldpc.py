@@ -2,12 +2,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from doqkd import ldpc
 from doqkd.errors import ReconciliationError
 from doqkd.ldpc import (DEGREE_PROFILES, LdpcCode, SUPPORTED_RATES,
                         decode_syndrome, make_code, peg_construct, syndrome)
+from reference_decoder import reference_decode, reference_syndrome
 from reference_peg import reference_peg
 
 
@@ -148,6 +149,61 @@ class TestDecode:
             dec, _ = decode_syndrome(y, syndrome(x, code), code, 0.01)
             ok += int(dec is not None and np.array_equal(dec, x))
         assert ok >= 99
+
+    # small PEG codes at every rate, or the 2048-bit make_code block at n=2048,
+    # with edges in construction order or shuffled (PEG lists them sorted by
+    # variable); the decoder must repeat the edge-order loop of the oracle
+    @given(n=st.integers(64, 320), rate=st.sampled_from(SUPPORTED_RATES),
+           code_seed=st.integers(0, 2**32 - 1), block_seed=st.integers(0, 2**32 - 1),
+           prior=(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+                  | st.floats(0.01, 0.2)),
+           errors=st.integers(1, 8), max_iters=st.integers(1, 60),
+           shuffle=st.booleans())
+    @example(n=256, rate=0.625, code_seed=1, block_seed=1, prior=0.05,
+             errors=0, max_iters=60, shuffle=False)  # zero errors: no iteration
+    @example(n=256, rate=0.625, code_seed=1, block_seed=1, prior=0.3,
+             errors=128, max_iters=5, shuffle=False)  # fails at max_iters
+    @example(n=2048, rate=0.7, code_seed=1, block_seed=7, prior=0.03,
+             errors=61, max_iters=60, shuffle=False)
+    # adjacent priors at which the iteration count steps (3 to 4, 4 to 5):
+    # the outcome there turns on the rounding of every sum, so it tells
+    # apart two decoders that add a check's edges in different orders
+    @example(n=273, rate=0.65, code_seed=394775965, block_seed=1438311637,
+             prior=0.07641675231443497, errors=5, max_iters=60, shuffle=False)
+    @example(n=273, rate=0.65, code_seed=394775965, block_seed=1438311637,
+             prior=0.07641675231443498, errors=5, max_iters=60, shuffle=False)
+    @example(n=272, rate=0.75, code_seed=4264295185, block_seed=807028964,
+             prior=0.02473069041738773, errors=8, max_iters=60, shuffle=False)
+    @example(n=272, rate=0.75, code_seed=4264295185, block_seed=807028964,
+             prior=0.024730690417387735, errors=8, max_iters=60, shuffle=False)
+    def test_matches_reference(self, n, rate, code_seed, block_seed, prior,
+                               errors, max_iters, shuffle):
+        m = int(round(n * (1.0 - rate)))
+        if n == 2048:
+            code = make_code(n, rate)
+        else:
+            try:
+                code = peg_construct(n, m, code_seed, DEGREE_PROFILES[rate])
+            except ValueError:
+                assume(False)
+        rng = np.random.default_rng(block_seed)
+        if shuffle:
+            order = rng.permutation(code.n_edges)
+            code = LdpcCode(n, m, code.seed, code.edge_var[order], code.edge_chk[order])
+        x = rng.integers(0, 2, n).astype(np.uint8)
+        y = x.copy()
+        y[rng.permutation(n)[:errors]] ^= 1
+        s = reference_syndrome(x, code)
+        np.testing.assert_array_equal(syndrome(x, code), s)
+        got, got_it = decode_syndrome(y, s, code, prior, max_iters)
+        want, want_it = reference_decode(y, s, code, prior, max_iters)
+        assert got_it == want_it
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+        if not errors:
+            assert got_it == 0
 
 
 def test_supported_rates_cover_spec_set():

@@ -1,7 +1,9 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from doqkd.errors import ConfigError, DoqkdError, ProtocolAbort
 from doqkd.sifting import (FrameFormat, Message, MessageType, Transcript,
@@ -277,6 +279,23 @@ class TestQber:
             qber(np.array([1]), np.array([1, 2]))
 
 
+@st.composite
+def sift_bytes(draw):
+    """sift-v1 bytes built message by message: the two sifting rounds and
+    other type sequences, unknown types, any counts and payloads, cut or
+    padded; or arbitrary bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=48))
+    types = draw(st.sampled_from([(3,), (1, 2, 1)])
+                 | st.lists(st.integers(0, 4), max_size=4).map(tuple))
+    out = b""
+    for mtype in types:
+        count = draw(st.integers(0, 4))
+        size = {1: 8, 2: 9}.get(mtype, 0) * count
+        out += struct.pack("<BI", mtype, count) + draw(st.binary(min_size=size, max_size=size))
+    return out[:len(out) - draw(st.integers(0, 2))] + draw(st.binary(max_size=2))
+
+
 class TestPackedKeysAndTranscript:
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(20)
@@ -329,6 +348,16 @@ class TestPackedKeysAndTranscript:
     def test_abort_with_records_rejected(self):
         with pytest.raises(ConfigError):
             Transcript.from_bytes(bytes([3, 1, 0, 0, 0]))
+
+    @given(data=sift_bytes())
+    @example(data=bytes([3, 0, 0, 0, 0]))
+    def test_bytes_parse_or_config_error(self, data):
+        # accepted bytes are a sifting round and serialize back unchanged
+        try:
+            transcript = Transcript.from_bytes(data)
+        except ConfigError:
+            return
+        assert transcript.to_bytes() == data
 
     def test_unknown_message_type_rejected(self):
         with pytest.raises(DoqkdError):
