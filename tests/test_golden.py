@@ -3,7 +3,8 @@
 Each case pins the SHA-256 of outputs that a pure refactor must leave
 unchanged: the canonical session report and the key material of
 ``run_experiment``, the CSV of a small ``sweep``, the files written by
-CLI ``analyze`` and ``secure``, the four raw streams of
+CLI ``simulate`` (streams and truth side files), ``analyze`` and
+``secure``, the four raw streams of
 ``simulate_session``, truth columns included, and the edge lists of the
 LDPC codes. A change that alters the random stream on
 purpose (simulator or code construction) updates these digests and says
@@ -66,7 +67,9 @@ def sweep_digests() -> dict:
     return {"csv": sha(table.to_csv().encode())}
 
 
-def cli_digests(tmp) -> dict:
+def cli_digests(tmp) -> tuple[dict, dict]:
+    """Digests of the ``analyze``/``secure`` outputs and of the files
+    ``simulate`` writes for the session."""
     cfg = short_config(31, duration_s=0.1)
     base = cfg.baseline_config()
     paths = {}
@@ -82,8 +85,12 @@ def cli_digests(tmp) -> dict:
     assert main(["secure", "--in", str(paths["run"]), "--baseline",
                  str(paths["ref"]), "--config", str(paths["run"] / "cfg.json"),
                  "--out", str(out)]) == 0
-    return {name: sha((out / name).read_bytes())
-            for name in ("analysis.json", "histograms.csv", "security.json")}
+    outputs = {name: sha((out / name).read_bytes())
+               for name in ("analysis.json", "histograms.csv", "security.json")}
+    recorded = {name: sha((paths["run"] / name).read_bytes())
+                for ch in ("t1", "f1", "t2", "f2")
+                for name in (f"{ch}.ttag", f"{ch}.ttag.truth")}
+    return outputs, recorded
 
 
 def simulate_config(name: str):
@@ -178,6 +185,24 @@ GOLDEN = {
         "security.json":
             "31d93910e6f8f5daef03ee8c2cb26e32d9074b8c4792baf6930f13da32c84d98",
     },
+    "cli_simulate": {
+        "t1.ttag":
+            "e4414b21798354f48206609a0f01f8df801ec255cfee354c585c434468308c9b",
+        "t1.ttag.truth":
+            "fd48c4f5cced3af152ed341ad176194be391368189d23d3fd63805f938a1bb94",
+        "f1.ttag":
+            "d28ff67afdd5523844ff998ed020a4ce1a07a14342ab5d8502025df8e27fdf9b",
+        "f1.ttag.truth":
+            "34f5adb1cab98d124f0b5a4b7e155a8275972b4fe88763a2dd298bf06098b1a7",
+        "t2.ttag":
+            "761a5690060e4b75067040132d178b1932786011a9538513aea4b2991ec1ce74",
+        "t2.ttag.truth":
+            "5b9082ef6b5265960e0e3552a5fd5d30505725f87ad5ad968c544356c4b9ae86",
+        "f2.ttag":
+            "bdf40a8c840a4f07bbfb362c4d39a317161078fe39ce704ace1ca949eb981eac",
+        "f2.ttag.truth":
+            "9a9d6444410a4b6d4abe6093a4a6314f422771ce97a3e1b44e35d31e1879e6df",
+    },
     "simulate_branches": {
         "T1_ties": 0,
         "T1": "bba55ace17c4b545bcf4a08284f08c576884a737f6893ce9e6e4bc9828ba5956",
@@ -240,7 +265,9 @@ def test_sweep():
 
 
 def test_cli(tmp_path):
-    check("cli", cli_digests(tmp_path))
+    outputs, recorded = cli_digests(tmp_path)
+    check("cli", outputs)
+    check("cli_simulate", recorded)
 
 
 @pytest.mark.parametrize("name", ["branches", "ties"])
