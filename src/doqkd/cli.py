@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DoqkdError, ProtocolAbort, StageError
@@ -34,7 +35,7 @@ def _load_config(args) -> SimConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "duration", None) is not None:
-        cfg.duration_s = args.duration
+        cfg = replace(cfg, duration_s=args.duration)  # checked like a loaded one
     return cfg
 
 
@@ -75,7 +76,7 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    tags = simulate_session(cfg)
+    tags = simulate_session(cfg, truth=True)
     for ch, name in _STREAM_FILES.items():
         write_ttag(out / name, tags.stream(ch))
     cfg.save(out / "session.json")

@@ -13,6 +13,7 @@ batched. All randomness flows from the single 64-bit session seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -120,6 +121,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value):
+    """A simcfg-v1 real field: a finite number; bools and other types are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"bad config value: expected a finite number, got {value!r}")
+    return value
+
+
+def _section(d: dict, key: str) -> dict:
+    """An optional simcfg-v1 object; absent means all its defaults."""
+    value = d.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad config value: {key} must be an object, got {value!r}")
+    return value
+
+
 @dataclass
 class SimConfig:
     """Full session configuration (simcfg-v1 on disk)."""
@@ -143,8 +160,12 @@ class SimConfig:
     baseline_duration_s: float | None = None
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be > 0")
+        # whole picoseconds, at least one, that fit int64 timestamps
+        for name, seconds in (("duration_s", self.duration_s),
+                              ("baseline duration_s", self.baseline_duration_s)):
+            if (seconds is not None
+                    and not 1 / PS_PER_SECOND <= seconds < 2**63 / PS_PER_SECOND):
+                raise ConfigError(f"{name} must be in [1 ps, 2**63 ps), got {seconds!r}")
         if not 0.0 < self.security_fraction < 1.0:
             raise ConfigError("security_fraction must be in (0, 1)")
         if set(self.detectors) != set(CHANNELS):
@@ -190,36 +211,38 @@ class SimConfig:
     def from_dict(cls, d: dict) -> "SimConfig":
         try:
             source = SourceModel(
-                d["pair_rate_hz"], d["spectral_sigma_rad_s"],
-                d.get("correlation_time_sigma_ps", 0.0),
-                d.get("correlation_break_sigma_rad_s", 0.0))
+                _real(d["pair_rate_hz"]), _real(d["spectral_sigma_rad_s"]),
+                _real(d.get("correlation_time_sigma_ps", 0.0)),
+                _real(d.get("correlation_break_sigma_rad_s", 0.0)))
             channel = ChannelModel(
-                d["transmission"]["alice"], d["transmission"]["bob"],
-                d.get("residual_dispersion_ps_per_nm", 0.0),
+                _real(d["transmission"]["alice"]), _real(d["transmission"]["bob"]),
+                _real(d.get("residual_dispersion_ps_per_nm", 0.0)),
                 _integer(d.get("propagation_delay_ps", 0)),
-                d.get("eve_time_sigma_ps", 0.0),
-                d.get("eve_freq_sigma_rad_s", 0.0))
+                _real(d.get("eve_time_sigma_ps", 0.0)),
+                _real(d.get("eve_freq_sigma_rad_s", 0.0)))
+            dark = _section(d, "dark_rate_hz")
             detectors = {
-                c: DetectorModel(d["efficiency"][c.name],
-                                 d["jitter_sigma_ps"][c.name],
-                                 d.get("dark_rate_hz", {}).get(c.name, 0.0))
+                c: DetectorModel(_real(d["efficiency"][c.name]),
+                                 _real(d["jitter_sigma_ps"][c.name]),
+                                 _real(dark.get(c.name, 0.0)))
                 for c in CHANNELS}
-            wavelength = d.get("wavelength_nm", 1550.0)
+            wavelength = _real(d.get("wavelength_nm", 1550.0))
             beta = d.get("beta_d_ps_per_rad_s")
-            disp = d.get("dispersion_ps_per_nm", 1800.0)
-            basis = (DispersiveBasis(disp, beta) if beta is not None
+            disp = _real(d.get("dispersion_ps_per_nm", 1800.0))
+            basis = (DispersiveBasis(disp, _real(beta)) if beta is not None
                      else DispersiveBasis.from_dispersion(disp, wavelength))
-            fmt = d.get("format", {})
+            fmt = _section(d, "format")
             frame = FrameFormat(_integer(fmt.get("n_bits", 4)),
                                 _integer(fmt.get("bins_per_slot", 3)),
                                 _integer(fmt.get("bin_width_ps", 160)))
-            hist = d.get("histogram", {})
-            rec = d.get("reconciliation", {})
+            hist = _section(d, "histogram")
+            rec = _section(d, "reconciliation")
+            base = _section(d, "baseline").get("duration_s")
             return cls(
                 source, channel, detectors, basis,
-                duration_s=d["duration_s"], seed=_integer(d["seed"]),
+                duration_s=_real(d["duration_s"]), seed=_integer(d["seed"]),
                 wavelength_nm=wavelength,
-                security_fraction=d.get("security_fraction", 0.3),
+                security_fraction=_real(d.get("security_fraction", 0.3)),
                 format_n_bits=frame.n_bits,
                 format_bins_per_slot=frame.bins_per_slot,
                 format_bin_width_ps=frame.bin_width_ps,
@@ -227,8 +250,8 @@ class SimConfig:
                 hist_range_ps=_integer(hist.get("range_ps", 3840)),
                 block_length=_integer(rec.get("block_length", 16384)),
                 max_iterations=_integer(rec.get("max_iterations", 60)),
-                min_overhead=float(rec.get("min_overhead", 1.25)),
-                baseline_duration_s=d.get("baseline", {}).get("duration_s"),
+                min_overhead=float(_real(rec.get("min_overhead", 1.25))),
+                baseline_duration_s=None if base is None else _real(base),
             )
         except KeyError as e:
             raise ConfigError(f"missing config key: {e}") from e
@@ -307,12 +330,13 @@ def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered, order
 
 
-def simulate_session(config: SimConfig) -> SessionTags:
+def simulate_session(config: SimConfig, *, truth: bool = False) -> SessionTags:
     """Generate the four tag streams for one session.
 
-    Photon-origin tags carry truth annotations (pair id, emitted detuning,
-    true emission time); dark counts do not. Fully reproducible from
-    ``config.seed``.
+    Streams carry timestamps only, unless ``truth`` is set: then
+    photon-origin tags also carry truth annotations (pair id, emitted
+    detuning, true emission time) and dark counts carry none. Timestamps
+    do not depend on ``truth``. Fully reproducible from ``config.seed``.
     """
     src, ch, det, basis = config.source, config.channel, config.detectors, config.basis
     duration_ps = config.duration_ps
@@ -396,16 +420,14 @@ def simulate_session(config: SimConfig) -> SessionTags:
                     tt += dispersive_shift(om_phys[pos], basis, party)
                 tt += rng.normal(0.0, det[chan].jitter_sigma_ps, pos.size)
                 times = np.rint(tt).astype(np.int64)
-                pair = idx[pos]
                 ok = (times >= 0) & (times < duration_ps)
-                if not ok.all():
-                    times, pair = times[ok], pair[ok]
-                parts[chan].append(dict(
-                    times=times,
-                    pair_ids=first_id + pair,
-                    detunings=omega[pair],
-                    emit_times=np.rint(emit[pair]).astype(np.int64),
-                ))
+                keep = slice(None) if ok.all() else ok
+                part = dict(times=times[keep])
+                if truth:
+                    pair = idx[pos][keep]
+                    part.update(pair_ids=first_id + pair, detunings=omega[pair],
+                                emit_times=np.rint(emit[pair]).astype(np.int64))
+                parts[chan].append(part)
 
         # dark counts, uniform over the chunk
         rng_dark = _chunk_rng(config.seed, chunk, purpose=1)
@@ -415,20 +437,26 @@ def simulate_session(config: SimConfig) -> SessionTags:
             if n_d:
                 times = start + np.sort(rng_dark.integers(0, width_ps, n_d))
                 times = times[times < duration_ps].astype(np.int64)
-                parts[chan].append(dict(
-                    times=times,
-                    pair_ids=np.full(len(times), -1, np.int64),
-                    detunings=np.full(len(times), np.nan),
-                    emit_times=np.zeros(len(times), np.int64),
-                ))
+                part = dict(times=times)
+                if truth:
+                    part.update(pair_ids=np.full(len(times), -1, np.int64),
+                                detunings=np.full(len(times), np.nan),
+                                emit_times=np.zeros(len(times), np.int64))
+                parts[chan].append(part)
 
     streams = []
     for chan in CHANNELS:
-        times, order = _stable_sort(np.concatenate([p["times"] for p in parts[chan]]))
-        # one column at a time, so only one unsorted copy is alive at once
-        truth = {k: np.concatenate([p[k] for p in parts[chan]])[order]
-                 for k in ("pair_ids", "detunings", "emit_times")}
-        streams.append(TagStream(times, chan, duration_ps, **truth))
+        times = np.concatenate([p["times"] for p in parts[chan]])
+        columns = {}
+        if truth:
+            # tie order shows only in the truth columns; one column at a
+            # time, so only one unsorted copy is alive at once
+            times, order = _stable_sort(times)
+            columns = {k: np.concatenate([p[k] for p in parts[chan]])[order]
+                       for k in ("pair_ids", "detunings", "emit_times")}
+        else:
+            times.sort()
+        streams.append(TagStream(times, chan, duration_ps, **columns))
     return SessionTags(*streams)
 
 

@@ -122,7 +122,7 @@ def test_06_security_analysis_oracle(session25):
     cfg.source = dataclasses.replace(
         cfg.source,
         correlation_break_sigma_rad_s=3.0 * cfg.source.correlation_break_sigma_rad_s)
-    tags = align_bob(dq.simulate_session(cfg), 0)
+    tags = align_bob(dq.simulate_session(cfg, truth=True), 0)
     hists, tfcm = analyze_security(tags, cfg)
     n_coinc = sum(tfcm.sample_counts.values())
     assert n_coinc >= 1e5

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -225,3 +226,33 @@ def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
     monkeypatch.setattr("doqkd.session.simulate_session", None)
     assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("path, value", [
+    *((section, value)
+      for section in ("format", "histogram", "reconciliation", "baseline",
+                      "dark_rate_hz")
+      for value in ([], 5, "x")),
+    ("duration_s", math.nan), ("duration_s", math.inf), ("duration_s", 0),
+    ("pair_rate_hz", math.nan), ("pair_rate_hz", math.inf),
+    ("baseline.duration_s", math.nan), ("baseline.duration_s", 0),
+    ("baseline.duration_s", -1),
+])
+def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):
+    d = paper_default_config().to_dict()
+    *outer, key = path.split(".")
+    section = d
+    for k in outer:
+        section = section[k]
+    section[key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(d))
+    # rejected when the config loads, before any session is simulated
+    monkeypatch.setattr("doqkd.session.simulate_session", None)
+    assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_duration_option_exit_code(tmp_path, monkeypatch, value):
+    monkeypatch.setattr("doqkd.session.simulate_session", None)
+    assert main(["keygen", "--duration", value, "--out", str(tmp_path)]) == 2

@@ -117,7 +117,7 @@ def simulate_config(name: str):
 
 
 def simulate_digests(name: str) -> dict:
-    tags = simulate_session(simulate_config(name))
+    tags = simulate_session(simulate_config(name), truth=True)
     out = {}
     for ch in CHANNELS:
         s = tags.stream(ch)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -8,13 +9,27 @@ from hypothesis import strategies as st
 
 import doqkd as dq
 from doqkd.errors import CalibrationError, ConfigError
-from doqkd.simulate import (FWHM_PER_SIGMA, CalibrationTargets, ChannelModel,
-                            DetectorModel, DispersiveBasis, SimConfig,
-                            SourceModel, beta_from_dispersion, calibrate,
-                            dispersive_shift, dispersion_spread_ps,
+from doqkd.simulate import (CHANNELS, FWHM_PER_SIGMA, CalibrationTargets,
+                            ChannelModel, DetectorModel, DispersiveBasis,
+                            SimConfig, SourceModel, beta_from_dispersion,
+                            calibrate, dispersive_shift, dispersion_spread_ps,
                             jitter_sigma_for_fwhm, paper_default_config,
                             _stable_sort, simulate_session)
 from doqkd.timetags import Channel, Party, coincidence_histogram, fwhm
+from test_golden import simulate_config
+
+DEFAULT_DICT = paper_default_config().to_dict()
+# every top-level field of the paper default, and every field of its sections
+CONFIG_FIELDS = [(k,) for k in DEFAULT_DICT] + [
+    (k, sub) for k, v in DEFAULT_DICT.items() if isinstance(v, dict) for sub in v]
+# arbitrary JSON: null, bools, any-size integers, floats with NaN and
+# infinities, strings, and lists and objects of these
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([2**63, 10**400, -10**400]) | st.floats() | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=6)
 
 
 def small_cfg(**kw):
@@ -61,6 +76,45 @@ class TestModels:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(d)
 
+    @pytest.mark.parametrize("section", ["format", "histogram", "reconciliation",
+                                         "baseline", "dark_rate_hz"])
+    @pytest.mark.parametrize("value", [[], 5, "x"])
+    def test_non_object_section_rejected(self, section, value):
+        d = paper_default_config().to_dict()
+        d[section] = value
+        with pytest.raises(ConfigError, match="must be an object"):
+            SimConfig.from_dict(d)
+
+    @pytest.mark.parametrize("field, value", [
+        (("duration_s",), math.nan), (("duration_s",), math.inf),
+        (("duration_s",), 1e300), (("duration_s",), 1e-13), (("duration_s",), 0),
+        (("pair_rate_hz",), math.nan), (("pair_rate_hz",), -math.inf),
+        (("baseline", "duration_s"), math.nan), (("baseline", "duration_s"), 0),
+        (("baseline", "duration_s"), -1)])
+    def test_bad_duration_or_rate_rejected(self, field, value):
+        d = paper_default_config().to_dict()
+        *outer, key = field
+        (d[outer[0]] if outer else d)[key] = value
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(d)
+
+    @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+    @example(field=("format",), value=[])
+    @example(field=("dark_rate_hz",), value="x")
+    @example(field=("duration_s",), value=math.nan)
+    @example(field=("duration_s",), value=math.inf)
+    @example(field=("baseline", "duration_s"), value=-1)
+    def test_any_field_value_loads_or_is_config_error(self, field, value):
+        d = copy.deepcopy(DEFAULT_DICT)
+        *outer, key = field
+        (d[outer[0]] if outer else d)[key] = value
+        try:
+            cfg = SimConfig.from_dict(d)
+        except ConfigError:
+            return
+        assert 0 < cfg.duration_ps < 2**63
+        assert 0 < cfg.baseline_config().duration_ps < 2**63
+
 
 class TestDispersiveShift:
     def test_zero_detuning(self):
@@ -90,15 +144,15 @@ class TestSimulateSession:
         cfg = small_cfg(duration_s=10.0)
         cfg.source = dataclasses.replace(cfg.source, pair_rate_hz=1e-9)
         cfg.detectors = {c: DetectorModel(0.0, 45.0, 100.0) for c in cfg.detectors}
-        tags = simulate_session(cfg)
+        tags = simulate_session(cfg, truth=True)
         for ch in Channel:
             n = len(tags.stream(ch))
             assert abs(n - 1000) < 100  # ~3 sigma
             assert not (tags.stream(ch).pair_ids >= 0).any()
 
     def test_same_seed_bit_identical(self):
-        a = simulate_session(small_cfg())
-        b = simulate_session(small_cfg())
+        a = simulate_session(small_cfg(), truth=True)
+        b = simulate_session(small_cfg(), truth=True)
         for ch in Channel:
             np.testing.assert_array_equal(a.stream(ch).times, b.stream(ch).times)
             np.testing.assert_array_equal(a.stream(ch).pair_ids,
@@ -117,7 +171,7 @@ class TestSimulateSession:
         assert r["T2"] / r["T1"] == pytest.approx(315 / 554, rel=0.02)
 
     def test_truth_annotations_identify_pairs(self):
-        tags = simulate_session(small_cfg())
+        tags = simulate_session(small_cfg(), truth=True)
         t1, t2 = tags.t1, tags.t2
         ids1 = {int(i): k for k, i in enumerate(t1.pair_ids) if i >= 0}
         common = [(k, j) for j, i in enumerate(t2.pair_ids)
@@ -239,6 +293,30 @@ class TestCalibrate:
         b = simulate_session(c2)
         cut = np.searchsorted(b.t1.times, c1.duration_ps)
         np.testing.assert_array_equal(a.t1.times, b.t1.times[:cut])
+
+
+def assert_truth_only_annotates(cfg):
+    """Truth columns come only on request, full length, beside equal times."""
+    plain = simulate_session(cfg)
+    annotated = simulate_session(cfg, truth=True)
+    for ch in CHANNELS:
+        a, b = plain.stream(ch), annotated.stream(ch)
+        np.testing.assert_array_equal(a.times, b.times)
+        assert not a.has_truth() and b.has_truth()
+        for col in (b.pair_ids, b.detunings, b.emit_times):
+            assert col.shape == b.times.shape
+
+
+class TestTruthOption:
+    @pytest.mark.parametrize("name", ["branches", "ties"])
+    def test_golden_configs(self, name):
+        assert_truth_only_annotates(simulate_config(name))
+
+    @given(seed=st.integers(0, 2**64 - 1), duration_s=st.floats(1e-6, 0.6),
+           pair_rate_hz=st.floats(1e3, 3e5))
+    def test_times_do_not_depend_on_truth(self, seed, duration_s, pair_rate_hz):
+        assert_truth_only_annotates(paper_default_config(
+            seed=seed, duration_s=duration_s, pair_rate_hz=pair_rate_hz))
 
 
 class TestStableSort:
