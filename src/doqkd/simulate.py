@@ -114,19 +114,19 @@ def dispersive_shift(detuning_rad_s: float, basis: DispersiveBasis, party: Party
     return basis.coefficient(party) * detuning_rad_s
 
 
-def _integer(value) -> int:
-    """A simcfg-v1 integer field; bools and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ConfigError(f"bad config value: expected an integer, got {value!r}")
-    return int(value)
-
-
 def _real(value):
     """A simcfg-v1 real field: a finite number; bools and other types are rejected."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(f"bad config value: expected a finite number, got {value!r}")
     return value
+
+
+def _integer(value) -> int:
+    """A simcfg-v1 integer field: a real field with an integral value."""
+    if not float(_real(value)).is_integer():
+        raise ConfigError(f"bad config value: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _section(d: dict, key: str) -> dict:

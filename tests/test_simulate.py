@@ -76,33 +76,12 @@ class TestModels:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(d)
 
-    @pytest.mark.parametrize("section", ["format", "histogram", "reconciliation",
-                                         "baseline", "dark_rate_hz"])
-    @pytest.mark.parametrize("value", [[], 5, "x"])
-    def test_non_object_section_rejected(self, section, value):
-        d = paper_default_config().to_dict()
-        d[section] = value
-        with pytest.raises(ConfigError, match="must be an object"):
-            SimConfig.from_dict(d)
-
-    @pytest.mark.parametrize("field, value", [
-        (("duration_s",), math.nan), (("duration_s",), math.inf),
-        (("duration_s",), 1e300), (("duration_s",), 1e-13), (("duration_s",), 0),
-        (("pair_rate_hz",), math.nan), (("pair_rate_hz",), -math.inf),
-        (("baseline", "duration_s"), math.nan), (("baseline", "duration_s"), 0),
-        (("baseline", "duration_s"), -1)])
-    def test_bad_duration_or_rate_rejected(self, field, value):
-        d = paper_default_config().to_dict()
-        *outer, key = field
-        (d[outer[0]] if outer else d)[key] = value
-        with pytest.raises(ConfigError):
-            SimConfig.from_dict(d)
-
     @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
     @example(field=("format",), value=[])
     @example(field=("dark_rate_hz",), value="x")
     @example(field=("duration_s",), value=math.nan)
     @example(field=("duration_s",), value=math.inf)
+    @example(field=("pair_rate_hz",), value=math.nan)
     @example(field=("baseline", "duration_s"), value=-1)
     def test_any_field_value_loads_or_is_config_error(self, field, value):
         d = copy.deepcopy(DEFAULT_DICT)
@@ -114,6 +93,7 @@ class TestModels:
             return
         assert 0 < cfg.duration_ps < 2**63
         assert 0 < cfg.baseline_config().duration_ps < 2**63
+        assert 0 < cfg.source.pair_rate_hz < math.inf
 
 
 class TestDispersiveShift:
