@@ -6,27 +6,24 @@ sifting, covariance-matrix security analysis, LDPC syndrome reconciliation,
 and Toeplitz-hash privacy amplification.
 """
 
-from .errors import (CalibrationError, ConfigError, DoqkdError, EstimationError,
-                     NoPeakError, ProtocolAbort, ReconciliationError, StageError)
-from .io import read_csv, read_ttag, write_csv, write_ttag
+from .errors import (ConfigError, DoqkdError, EstimationError, NoPeakError,
+                     ProtocolAbort, ReconciliationError, StageError)
+from .io import read_ttag, write_ttag
 from .ldpc import LdpcCode, SUPPORTED_RATES, decode_syndrome, make_code, syndrome
-from .postproc import (ReconciliationOutcome, efficiency, gray_decode_bits,
-                       gray_encode_symbols, privacy_amplify, reconcile,
-                       reconcile_key, secret_length, select_rate,
-                       verification_hash)
+from .postproc import (ReconciliationOutcome, efficiency, gray_encode_symbols,
+                       privacy_amplify, reconcile, reconcile_key, secret_length,
+                       select_rate, verification_hash)
 from .security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
                        estimate_tfcm, excess_noise, gaussian_entropy_g,
-                       holevo_bound, histogram_moments, mutual_information,
-                       secret_fraction, shannon_info)
+                       holevo_bound, mutual_information, secret_fraction,
+                       shannon_info)
 from .session import (OptimizeEntry, SessionReport, SweepRow, SweepTable,
                       compute_baseline, optimize, run_experiment, sweep)
 from .sifting import (FrameFormat, Message, MessageType, SiftResult, Transcript,
-                      pack_symbols, qber, run_sifting, split_security_fraction,
-                      unpack_symbols)
-from .simulate import (CalibrationTargets, ChannelModel, DetectorModel,
-                       DispersiveBasis, SessionTags, SimConfig, SourceModel,
-                       calibrate, dispersive_shift, paper_default_config,
-                       simulate_session)
+                      pack_symbols, qber, run_sifting, split_security_fraction)
+from .simulate import (ChannelModel, DetectorModel, DispersiveBasis, SessionTags,
+                       SimConfig, SourceModel, dispersive_shift,
+                       paper_default_config, simulate_session)
 from .timetags import (Basis, Channel, CoincidenceHistogram, EffectiveRates,
                        Party, TagStream, coincidence_histogram, effective_rates,
                        fwhm)

@@ -32,10 +32,11 @@ _STREAM_FILES = {Channel.T1: "t1.ttag", Channel.F1: "f1.ttag",
 
 def _load_config(args) -> SimConfig:
     cfg = SimConfig.load(args.config) if args.config else paper_default_config()
+    # overrides go through replace, so they are checked like loaded values
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "duration", None) is not None:
-        cfg = replace(cfg, duration_s=args.duration)  # checked like a loaded one
+        cfg = replace(cfg, duration_s=args.duration)
     return cfg
 
 
@@ -50,13 +51,17 @@ def _parse_format(text: str) -> FrameFormat:
 def _read_streams(path: str | Path, channels, duration_ps: int | None = None
                   ) -> list[TagStream]:
     """Read the given channels' ttag files from a directory, all stretched to
-    the longest stream's duration."""
+    the longest stream's duration. Each file must hold its named channel."""
     streams = []
     for ch in channels:
         f = Path(path) / _STREAM_FILES[ch]
         if not f.exists():
             raise ConfigError(f"missing stream file {f}")
-        streams.append(read_ttag(f, duration_ps))
+        s = read_ttag(f, duration_ps)
+        if len(s) and s.channel != ch:
+            raise ConfigError(f"{f} holds {s.channel.name} records, not {ch.name}")
+        s.channel = ch
+        streams.append(s)
     dur = max(s.duration_ps for s in streams)
     for s in streams:
         s.duration_ps = dur

@@ -13,10 +13,6 @@ class NoPeakError(DoqkdError):
     """A coincidence histogram has no usable peak above the accidental floor."""
 
 
-class CalibrationError(DoqkdError):
-    """Calibration targets are unattainable (e.g. cross-basis width below time-basis width)."""
-
-
 class ProtocolAbort(DoqkdError):
     """Two-party sifting aborted (frame format mismatch between parties)."""
 

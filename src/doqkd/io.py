@@ -2,13 +2,11 @@
 
 ``ttag-v1``: little-endian binary, 10 bytes per record —
 u8 channel (0=T1, 1=F1, 2=T2, 3=F2), u8 flags (bit 0: truth present),
-i64 timestamp in ps. Truth-annotated files get a ``.truth`` side file with
-one 24-byte record per main record: u64 pair id, f64 detuning (rad/s),
-i64 true emission time (ps). Records without truth carry pair id
-0xFFFFFFFFFFFFFFFF and NaN detuning in the side file.
-
-A CSV reader/writer (``channel,timestamp_ps`` per line) is provided for
-interoperability; channel may be a name (T1) or a code (0).
+i64 timestamp in ps. A file holds the records of one channel. Truth-annotated
+files get a ``.truth`` side file with one 24-byte record per main record:
+u64 pair id, f64 detuning (rad/s), i64 true emission time (ps). Records
+without truth carry pair id 0xFFFFFFFFFFFFFFFF and NaN detuning in the side
+file.
 """
 from __future__ import annotations
 
@@ -30,12 +28,10 @@ def truth_path(path: str | Path) -> Path:
 
 
 def write_ttag(path: str | Path, stream: TagStream) -> None:
-    """Write one stream (single- or mixed-channel) as ttag-v1."""
+    """Write one stream as ttag-v1."""
     n = len(stream)
     rec = np.zeros(n, TTAG_DTYPE)
-    if stream.channels is not None:
-        rec["channel"] = stream.channels
-    elif stream.channel is not None:
+    if stream.channel is not None:
         rec["channel"] = int(stream.channel)
     rec["timestamp"] = stream.times
     if stream.has_truth():
@@ -49,36 +45,24 @@ def write_ttag(path: str | Path, stream: TagStream) -> None:
     Path(path).write_bytes(rec.tobytes())
 
 
-def _sorted_stream(path: str | Path, times: np.ndarray, chans: np.ndarray,
-                   duration_ps: int | None, **truth) -> TagStream:
-    """One stream sorted by timestamp; negative timestamps are rejected."""
-    if times.size and times.min() < 0:
-        raise ConfigError(f"{path}: negative timestamp")
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    chans = chans[order]
-    truth = {k: v[order] for k, v in truth.items()}
-    uniq = np.unique(chans)
-    single = Channel(int(uniq[0])) if len(uniq) == 1 else None
-    if duration_ps is None:
-        duration_ps = int(times[-1]) + 1 if len(times) else 0
-    return TagStream(times, single, duration_ps,
-                     channels=None if single is not None else chans, **truth)
-
-
 def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
     """Read a ttag-v1 file (and its side file, if present) into one stream.
 
-    The result is sorted by timestamp; the file itself need not be.
+    The result is sorted by timestamp; the file itself need not be. Records
+    of more than one channel, or negative timestamps, raise ConfigError.
+    An empty file gives a stream without a channel.
     """
     raw = Path(path).read_bytes()
     if len(raw) % TTAG_DTYPE.itemsize:
         raise ConfigError(f"{path}: truncated ttag-v1 file")
     rec = np.frombuffer(raw, TTAG_DTYPE)
     times = rec["timestamp"].astype(np.int64)
-    chans = rec["channel"].astype(np.uint8)
-    if np.any(chans > 3):
+    chans = rec["channel"]
+    if chans.size and chans.max() > 3:
         raise ConfigError(f"{path}: channel code out of range")
+    if chans.size and chans.min() != chans.max():
+        raise ConfigError(f"{path}: records of several channels "
+                          "(a ttag-v1 file holds one)")
 
     truth = {}
     tp = truth_path(path)
@@ -94,37 +78,14 @@ def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
         truth = dict(pair_ids=pid,
                      detunings=side["detuning"].astype(np.float64),
                      emit_times=side["emit_time"].astype(np.int64))
-    return _sorted_stream(path, times, chans, duration_ps, **truth)
-
-
-def write_csv(path: str | Path, stream: TagStream) -> None:
-    with open(path, "w") as f:
-        f.write("channel,timestamp_ps\n")
-        chans = (stream.channels if stream.channels is not None
-                 else np.full(len(stream), int(stream.channel), np.uint8))
-        for c, t in zip(chans, stream.times):
-            f.write(f"{Channel(int(c)).name},{int(t)}\n")
-
-
-def read_csv(path: str | Path, duration_ps: int | None = None) -> TagStream:
-    """Read ``channel,timestamp_ps`` text. Channel accepts names or codes."""
-    times = []
-    chans = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.lower().startswith("channel"):
-                continue
-            try:
-                ch_s, t_s = line.split(",")[:2]
-                ch_s = ch_s.strip().upper()
-                ch = Channel[ch_s] if ch_s in Channel.__members__ else Channel(int(ch_s))
-                times.append(int(t_s))
-                chans.append(int(ch))
-            except (ValueError, KeyError) as e:
-                raise ConfigError(f"{path}:{lineno}: bad record ({e})") from e
-    return _sorted_stream(path, np.asarray(times, np.int64),
-                          np.asarray(chans, np.uint8), duration_ps)
+    if times.size and times.min() < 0:
+        raise ConfigError(f"{path}: negative timestamp")
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    if duration_ps is None:
+        duration_ps = int(times[-1]) + 1 if len(times) else 0
+    return TagStream(times, Channel(int(chans[0])) if chans.size else None,
+                     duration_ps, **{k: v[order] for k, v in truth.items()})
 
 
 def canonical_json(obj) -> str:

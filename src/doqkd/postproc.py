@@ -29,21 +29,6 @@ def gray_encode_symbols(symbols: np.ndarray, n_bits: int) -> np.ndarray:
     return ((g[:, None] >> shifts) & 1).astype(np.uint8).ravel()
 
 
-def gray_decode_bits(bits: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`gray_encode_symbols`."""
-    bits = np.asarray(bits, np.uint8)
-    if bits.size % n_bits:
-        raise ValueError("bit count not a multiple of n_bits")
-    shifts = np.arange(n_bits - 1, -1, -1)
-    g = (bits.reshape(-1, n_bits).astype(np.int64) << shifts).sum(axis=1)
-    b = g.copy()
-    shift = 1
-    while shift < n_bits:
-        b ^= b >> shift
-        shift <<= 1
-    return b
-
-
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
@@ -142,31 +127,31 @@ class ReconciliationOutcome:
 
 
 def reconcile(bob_bits: np.ndarray, alice_syndrome: np.ndarray, code: LdpcCode,
-              crossover_prior: float, max_iters: int = 60,
-              alice_check: int | None = None) -> BlockResult:
+              crossover_prior: float, max_iters: int = 60, *,
+              alice_check: int) -> BlockResult:
     """Decode one block toward the disclosed syndrome.
 
-    Success requires an exact syndrome match; when ``alice_check`` (the
-    64-bit verification hash of the reference block) is supplied, the result
-    is additionally flagged ``verified``.
+    Success requires an exact syndrome match; the result is flagged
+    ``verified`` when it also matches ``alice_check``, the 64-bit
+    verification hash of the reference block.
     """
     corrected, iters = decode_syndrome(bob_bits, alice_syndrome, code,
                                        crossover_prior, max_iters)
     if corrected is None:
         return BlockResult(False, False, iters, None)
-    verified = (alice_check is None) or (verification_hash(corrected) == alice_check)
-    return BlockResult(True, verified, iters, corrected)
+    return BlockResult(True, verification_hash(corrected) == alice_check, iters,
+                       corrected)
 
 
 def reconcile_key(alice_bits: np.ndarray, bob_bits: np.ndarray, *,
                   block_length: int = 16384, max_iters: int = 60,
-                  min_overhead: float = 1.25, code_seed: int = 1,
-                  rate: float | None = None) -> ReconciliationOutcome:
+                  min_overhead: float = 1.25,
+                  code_seed: int = 1) -> ReconciliationOutcome:
     """Block-wise one-way reconciliation of Bob's bits against Alice's.
 
     The trailing partial block is dropped. The measured bit error rate picks
-    the code rate (unless forced); disclosed information per block is the
-    syndrome plus the 64-bit verification hash.
+    the code rate; disclosed information per block is the syndrome plus the
+    64-bit verification hash.
     """
     alice_bits = np.asarray(alice_bits, np.uint8)
     bob_bits = np.asarray(bob_bits, np.uint8)
@@ -179,7 +164,7 @@ def reconcile_key(alice_bits: np.ndarray, bob_bits: np.ndarray, *,
     used = n_blocks * block_length
     ber = float(np.count_nonzero(alice_bits[:used] != bob_bits[:used])) / used
     ber_prior = min(max(ber, 1e-4), 0.4999)
-    code_rate = rate if rate is not None else select_rate(ber_prior, min_overhead)
+    code_rate = select_rate(ber_prior, min_overhead)
     code = make_code(block_length, code_rate, code_seed)
 
     outcome = ReconciliationOutcome(

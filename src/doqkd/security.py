@@ -35,17 +35,16 @@ class PeakMoments:
     fwhm_ps: float
 
 
-def histogram_moments(h: CoincidenceHistogram, floor_model: str = "flat"
-                      ) -> PeakMoments:
+def _peak_moments(h: CoincidenceHistogram, linear_floor: bool) -> PeakMoments:
     """Mean/variance of the peak after accidental-floor subtraction.
 
     Moments are restricted to +/- 3x FWHM around the peak to suppress
-    accidental-tail bias. ``floor_model`` is "flat" (mean of the
-    outside bins) or "linear" (least-squares in |offset|, extrapolated under
-    the peak). Linear is for histograms whose both streams passed the
+    accidental-tail bias. The floor is the mean of the outside bins, or with
+    ``linear_floor`` a least-squares line in |offset| extrapolated under the
+    peak. The line is for histograms whose both streams passed the
     frame-keyed security split: that split decorrelates pairs straddling a
     frame boundary, so their accidental floor decays with offset and a flat
-    subtraction would bias the variance. For unsplit floors the flat model
+    subtraction would bias the variance. For unsplit floors the flat mean
     avoids amplifying far-tail noise through extrapolation. Corrected
     counts are not clipped, keeping the moments unbiased under floor noise;
     Sheppard's correction removes the binning variance.
@@ -59,15 +58,13 @@ def histogram_moments(h: CoincidenceHistogram, floor_model: str = "flat"
         raise EstimationError("histogram range too narrow for floor estimation")
     inside = ~outside
     centers = h.bin_centers()
-    if floor_model == "linear":
+    if linear_floor:
         dist = np.abs(centers - centers[peak])
         coeffs = np.polyfit(dist[outside], counts[outside], 1)
         floor_in = np.polyval(coeffs, dist[inside])
         floor_level = float(np.polyval(coeffs, 0.0))
-    elif floor_model == "flat":
-        floor_in = floor_level
     else:
-        raise ValueError(f"unknown floor_model {floor_model!r}")
+        floor_in = floor_level
     corr = counts[inside] - floor_in
     weight = corr.sum()
     if weight <= 0:
@@ -164,8 +161,7 @@ def estimate_tfcm(hists: FourBasisHistograms, beta_d_ps_per_rad_s: float) -> Tfc
         raise EstimationError("beta_d must be nonzero")
     # tt pairs two frame-split streams (sloped floor); the others involve at
     # least one unsplit frequency stream, whose accidental floor is flat
-    floor_models = {"tt": "linear", "tf": "flat", "ft": "flat", "ff": "flat"}
-    moms = {k: histogram_moments(getattr(hists, k), floor_model=floor_models[k])
+    moms = {k: _peak_moments(getattr(hists, k), linear_floor=k == "tt")
             for k in ("tt", "tf", "ft", "ff")}
     for k, m in moms.items():
         if m.weight < 1e3:
@@ -330,10 +326,7 @@ class SecurityReport:
     beta: float
     delta_i_bpc: float
     no_key: bool
-    i_ab_gaussian_bpc: float | None = None
+    i_ab_gaussian_bpc: float
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.i_ab_gaussian_bpc is None:
-            del d["i_ab_gaussian_bpc"]
-        return d
+        return asdict(self)

@@ -198,7 +198,7 @@ class SessionReport:
         return canonical_json(self.to_dict(include_timing=False)).encode()
 
 
-def run_experiment(config: SimConfig, baseline: Baseline | None = None) -> SessionReport:
+def run_experiment(config: SimConfig) -> SessionReport:
     """Simulate and post-process one full session."""
     t_start = time.monotonic()
     fmt = session_format(config)
@@ -210,8 +210,7 @@ def run_experiment(config: SimConfig, baseline: Baseline | None = None) -> Sessi
     with _stage("security"):
         # the baseline first: its session is the largest, and the split
         # streams need not be alive while it is simulated
-        if baseline is None:
-            baseline = compute_baseline(config)
+        baseline = compute_baseline(config)
         sec, key_t1, key_t2 = split_time_streams(tags, config, fmt)
         hists, tfcm = _estimate(sec, config)
         xi_t, xi_w, chi = security_figures(tfcm, baseline)
@@ -420,8 +419,7 @@ def optimize(config: SimConfig, qber_cap: float = 0.05,
              n_list: tuple[int, ...] = DEFAULT_N_GRID,
              tau_list: tuple[int, ...] = DEFAULT_TAU_GRID,
              i_list: tuple[int, ...] = DEFAULT_I_GRID,
-             table: SweepTable | None = None,
-             tags: SessionTags | None = None) -> list[OptimizeEntry]:
+             table: SweepTable | None = None) -> list[OptimizeEntry]:
     """Per dimension, maximize raw rate subject to a QBER cap.
 
     Ties break deterministically toward smaller bin width, then fewer bins
@@ -430,7 +428,7 @@ def optimize(config: SimConfig, qber_cap: float = 0.05,
     if not 0.0 < qber_cap < 0.5:
         raise ValueError("qber_cap must be in (0, 0.5)")
     if table is None:
-        table = sweep(config, tau_list, i_list, n_list, tags=tags)
+        table = sweep(config, tau_list, i_list, n_list)
     out = []
     for n in n_list:
         rows = [r for r in table.select(n_bits=n)

@@ -233,11 +233,11 @@ class Transcript:
 
 @dataclass
 class SiftResult:
-    """Raw keys plus protocol bookkeeping for one sifting round."""
+    """Raw keys plus protocol bookkeeping for one sifting round; the kept
+    frames are the transcript's last message."""
 
     key_a: np.ndarray
     key_b: np.ndarray
-    kept_frame_ids: np.ndarray
     kept_frames: int
     discarded_bin_mismatch: int
     discarded_multi_event: int
@@ -283,7 +283,6 @@ def run_sifting(alice: TagStream, bob: TagStream, fmt: FrameFormat,
     return SiftResult(
         key_a=key_a,
         key_b=key_b,
-        kept_frame_ids=kept,
         kept_frames=int(kept.size),
         discarded_bin_mismatch=int(np.count_nonzero(~match)),
         discarded_multi_event=multi_a + multi_b,
@@ -316,8 +315,3 @@ def pack_symbols(symbols: np.ndarray, n_bits: int) -> bytes:
     bits = ((symbols[:, None] >> shifts) & 1).astype(np.uint8).ravel()
     return np.packbits(bits).tobytes()
 
-
-def unpack_symbols(data: bytes, n_bits: int, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, np.uint8))[:count * n_bits]
-    shifts = np.arange(n_bits - 1, -1, -1)
-    return (bits.reshape(count, n_bits).astype(np.int64) << shifts).sum(axis=1)

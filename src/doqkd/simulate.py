@@ -20,14 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError
+from .errors import ConfigError
 from .io import read_json, write_json
 from .sifting import FrameFormat
-from .timetags import (PS_PER_SECOND, Basis, Channel, Party, TagStream,
-                       coincidence_histogram, fwhm)
+from .timetags import PS_PER_SECOND, Basis, Channel, Party, TagStream
 
 SPEED_OF_LIGHT_NM_S = 2.99792458e17
-FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 CHUNK_PS = 250_000_000_000  # canonical generation chunk: 0.25 s
 
 CHANNELS = (Channel.T1, Channel.F1, Channel.T2, Channel.F2)
@@ -168,6 +166,20 @@ class SimConfig:
                 raise ConfigError(f"{name} must be in [1 ps, 2**63 ps), got {seconds!r}")
         if not 0.0 < self.security_fraction < 1.0:
             raise ConfigError("security_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        for name, value in (("histogram bin_ps", self.hist_bin_ps),
+                            ("histogram range_ps", self.hist_range_ps),
+                            ("block_length", self.block_length),
+                            ("max_iterations", self.max_iterations)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
+        # the histograms span [-range_ps, range_ps) in whole bins
+        if 2 * self.hist_range_ps % self.hist_bin_ps:
+            raise ConfigError(f"histogram range 2 * {self.hist_range_ps} ps is not "
+                              f"a whole number of {self.hist_bin_ps} ps bins")
+        if not self.min_overhead > 0:
+            raise ConfigError(f"min_overhead must be > 0, got {self.min_overhead!r}")
         if set(self.detectors) != set(CHANNELS):
             raise ConfigError("detectors must cover T1, F1, T2, F2")
 
@@ -458,146 +470,3 @@ def simulate_session(config: SimConfig, *, truth: bool = False) -> SessionTags:
             times.sort()
         streams.append(TagStream(times, chan, duration_ps, **columns))
     return SessionTags(*streams)
-
-
-# ---------------------------------------------------------------------------
-# calibration
-
-
-@dataclass(frozen=True)
-class CalibrationTargets:
-    """Observables the calibrated default scenario must reproduce.
-
-    Singles rates enter as ratios between channels; the absolute scale is
-    set by the effective coincidence rate and CAR at the reference bin
-    width, measured on the key (non-security) fraction of events.
-    """
-
-    tt_fwhm_ps: float = 150.0
-    cross_fwhm_ps: float = 900.0
-    singles_rates_hz: tuple[float, float, float, float] = (554e3, 321e3, 315e3, 245e3)
-    effective_rate_hz: float = 30e3
-    effective_car: float = 200.0
-    car_bin_ps: int = 160
-    baseline_ff_tt_variance_ratio: float = 1.10
-    excess_time_noise: float = 0.03
-    excess_freq_noise: float = 0.135
-
-
-def _std_normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def jitter_sigma_for_fwhm(tt_fwhm_ps: float) -> float:
-    """Per-detector Gaussian jitter giving a two-detector peak of given FWHM."""
-    return tt_fwhm_ps / FWHM_PER_SIGMA / math.sqrt(2.0)
-
-
-def dispersion_spread_ps(tt_fwhm_ps: float, cross_fwhm_ps: float) -> float:
-    """Dispersion-induced arrival spread (1 sigma) from quadrature subtraction."""
-    if cross_fwhm_ps < tt_fwhm_ps:
-        raise CalibrationError("cross-basis width below time-basis width")
-    return math.sqrt(cross_fwhm_ps**2 - tt_fwhm_ps**2) / FWHM_PER_SIGMA
-
-
-def calibrate(targets: CalibrationTargets = CalibrationTargets(),
-              *,
-              dispersion_ps_per_nm: float = 1800.0,
-              wavelength_nm: float = 1550.0,
-              transmission: tuple[float, float] = (1.0, 0.4),
-              dark_rate_hz: float = 100.0,
-              security_fraction: float = 0.3,
-              format_n_bits: int = 4,
-              format_bins_per_slot: int = 3,
-              format_bin_width_ps: int = 160,
-              hist_range_ps: int = 3840,
-              duration_s: float = 5.0,
-              seed: int = 20260808,
-              refine_iterations: int = 0) -> SimConfig:
-    """Fit the free simulator parameters to the target observables.
-
-    The temporal/spectral spreads follow from closed-form Gaussian algebra;
-    an optional deterministic fixed-point refinement re-simulates short
-    sessions and rescales the spreads until the measured widths match within
-    5 percent. Pair rate and per-channel efficiencies follow from the
-    singles-rate ratios and the (effective rate, CAR) pair at the reference
-    bin width.
-    """
-    basis = DispersiveBasis.from_dispersion(dispersion_ps_per_nm, wavelength_nm)
-    sigma_delta = targets.tt_fwhm_ps / FWHM_PER_SIGMA
-    jitter = jitter_sigma_for_fwhm(targets.tt_fwhm_ps)
-    spread = dispersion_spread_ps(targets.tt_fwhm_ps, targets.cross_fwhm_ps)
-    spectral = spread / basis.beta_d_ps_per_rad_s
-    corr_break = math.sqrt(max(targets.baseline_ff_tt_variance_ratio - 1.0, 0.0)) \
-        * sigma_delta / basis.beta_d_ps_per_rad_s
-    eve_t = math.sqrt(targets.excess_time_noise) * sigma_delta
-    eve_w = math.sqrt(targets.excess_freq_noise) * corr_break
-
-    # absolute rate scale from (effective rate, CAR) on the key fraction
-    kf = 1.0 - security_fraction
-    tau_s = targets.car_bin_ps * 1e-12
-    frame_ps = (1 << format_n_bits) * format_bins_per_slot * format_bin_width_ps
-    excl_ps = 3.0 * targets.tt_fwhm_ps
-    # frame-keyed splitting decorrelates tag pairs that straddle a frame
-    # boundary; the accidental floor seen on the key subset decays linearly
-    # with offset accordingly
-    mean_abs_offset = 0.5 * (excl_ps + hist_range_ps)
-    g = kf - kf * (1.0 - kf) * min(mean_abs_offset / frame_ps, 1.0)
-    f_peak = _std_normal_cdf(targets.car_bin_ps / sigma_delta) - 0.5
-    rho = targets.effective_rate_hz / (targets.effective_car * tau_s * g)
-    coinc = (targets.effective_rate_hz / kf - rho * tau_s) / f_peak
-    if coinc <= 0:
-        raise CalibrationError("CAR/effective-rate targets leave no true coincidences")
-
-    s = targets.singles_rates_hz
-    r_t1 = math.sqrt(rho * s[0] / s[2])
-    r_t2 = rho / r_t1
-    rates = {Channel.T1: r_t1, Channel.F1: r_t1 * s[1] / s[0],
-             Channel.T2: r_t2, Channel.F2: r_t2 * s[3] / s[2]}
-    pair_rate = rho / coinc
-    trans = {Channel.T1: transmission[0], Channel.F1: transmission[0],
-             Channel.T2: transmission[1], Channel.F2: transmission[1]}
-    eta = {}
-    for c in CHANNELS:
-        eta[c] = rates[c] / pair_rate / (trans[c] * 0.5)
-        if not 0.0 < eta[c] <= 1.0:
-            raise CalibrationError(f"required efficiency for {c.name} is {eta[c]:.3f}; "
-                                   "targets unattainable")
-
-    def build(jit: float, spec: float) -> SimConfig:
-        return SimConfig(
-            source=SourceModel(pair_rate, spec, 0.0, corr_break),
-            channel=ChannelModel(transmission[0], transmission[1], 0.0, 0, eve_t, eve_w),
-            detectors={c: DetectorModel(eta[c], jit, dark_rate_hz) for c in CHANNELS},
-            basis=basis, duration_s=duration_s, seed=seed,
-            wavelength_nm=wavelength_nm, security_fraction=security_fraction,
-            format_n_bits=format_n_bits, format_bins_per_slot=format_bins_per_slot,
-            format_bin_width_ps=format_bin_width_ps, hist_range_ps=hist_range_ps,
-        )
-
-    for _ in range(refine_iterations):
-        cfg = replace(build(jitter, spectral),
-                      duration_s=0.5, seed=seed,
-                      channel=ChannelModel(transmission[0], transmission[1]))
-        tags = simulate_session(cfg)
-        rng_ps = hist_range_ps
-        h_tt = coincidence_histogram(tags.t1, tags.t2, 30, (-rng_ps, rng_ps))
-        h_tf = coincidence_histogram(tags.t1, tags.f2, 30, (-rng_ps, rng_ps))
-        m_tt = fwhm(h_tt)
-        m_tf = fwhm(h_tf)
-        jitter *= targets.tt_fwhm_ps / m_tt
-        measured_spread = math.sqrt(max(m_tf**2 - m_tt**2, 1e-12)) / FWHM_PER_SIGMA
-        spectral *= spread / measured_spread
-        if (abs(m_tt - targets.tt_fwhm_ps) / targets.tt_fwhm_ps < 0.01
-                and abs(m_tf - targets.cross_fwhm_ps) / targets.cross_fwhm_ps < 0.01):
-            break
-
-    return build(jitter, spectral)
-
-
-def write_paper_default(path: str | Path, duration_s: float = 5.0,
-                        seed: int = 20260808) -> SimConfig:
-    """Regenerate the bundled calibrated configuration file."""
-    cfg = calibrate(duration_s=duration_s, seed=seed)
-    cfg.save(path)
-    return cfg

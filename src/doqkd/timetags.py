@@ -46,16 +46,13 @@ class TagStream:
 
     ``times`` is an int64 array of picosecond timestamps, strictly sorted
     (ties allowed). The truth arrays are either None or full-length, with
-    pair_id == -1 marking tags without annotation (dark counts).
-
-    A stream read from a mixed-channel file spans several channels; it then
-    has ``channel is None`` and a per-tag ``channels`` code array.
+    pair_id == -1 marking tags without annotation (dark counts). Only an
+    empty stream may have ``channel is None``.
     """
 
     times: np.ndarray
     channel: Channel | None
     duration_ps: int
-    channels: np.ndarray | None = None
     pair_ids: np.ndarray | None = None
     detunings: np.ndarray | None = None
     emit_times: np.ndarray | None = None
@@ -66,8 +63,8 @@ class TagStream:
             raise ValueError("tag timestamps must be sorted")
         if self.times.size and self.times[0] < 0:
             raise ValueError("timestamps must be >= 0 within a session")
-        if self.channel is None and self.channels is None and self.times.size:
-            raise ValueError("stream needs a channel or per-tag channel codes")
+        if self.channel is None and self.times.size:
+            raise ValueError("a nonempty stream needs a channel")
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -91,7 +88,6 @@ class TagStream:
         """New stream containing the masked subset of tags."""
         return TagStream(
             self.times[mask], self.channel, self.duration_ps,
-            channels=None if self.channels is None else self.channels[mask],
             pair_ids=None if self.pair_ids is None else self.pair_ids[mask],
             detunings=None if self.detunings is None else self.detunings[mask],
             emit_times=None if self.emit_times is None else self.emit_times[mask],
@@ -101,8 +97,8 @@ class TagStream:
         """New stream with all timestamps shifted by ``offset_ps``."""
         return TagStream(
             self.times + int(offset_ps), self.channel, self.duration_ps,
-            channels=self.channels, pair_ids=self.pair_ids,
-            detunings=self.detunings, emit_times=self.emit_times,
+            pair_ids=self.pair_ids, detunings=self.detunings,
+            emit_times=self.emit_times,
         )
 
 

@@ -169,6 +169,18 @@ def test_malformed_input_exit_codes(tmp_path):
         bad = tmp_path / "bad_seed.json"
         bad.write_text(json.dumps(d))
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    # stream files that do not hold their named channel: a t1.ttag of F1
+    # records, and a t2.ttag with half its records coded F1
+    rec = np.zeros(4, TTAG_DTYPE)
+    rec["timestamp"] = [100, 2000, 30000, 400000]
+    for bad_name, bad_codes in (("t1", [1, 1, 1, 1]), ("t2", [2, 1, 2, 1])):
+        run = tmp_path / f"bad_{bad_name}"
+        run.mkdir()
+        for name, code in (("t1", 0), ("t2", 2)):
+            rec["channel"] = bad_codes if name == bad_name else code
+            (run / f"{name}.ttag").write_bytes(rec.tobytes())
+        assert main(["sift", "--in", str(run), "--format", "4,3,160",
+                     "--out", str(run)]) == 2
 
 
 def test_sweep_and_optimize(cli_cfg, tmp_path):
@@ -237,6 +249,11 @@ def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
     ("pair_rate_hz", math.nan), ("pair_rate_hz", math.inf),
     ("baseline.duration_s", math.nan), ("baseline.duration_s", 0),
     ("baseline.duration_s", -1),
+    ("seed", -1), ("histogram.bin_ps", 0), ("histogram.range_ps", 0),
+    # 2 * 3845 ps is not a whole number of the default 30 ps bins
+    ("histogram.range_ps", 3845),
+    ("reconciliation.block_length", 0), ("reconciliation.max_iterations", 0),
+    ("reconciliation.min_overhead", 0), ("reconciliation.min_overhead", -1),
 ])
 def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):
     d = paper_default_config().to_dict()
@@ -252,7 +269,11 @@ def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):
                  "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_bad_duration_option_exit_code(tmp_path, monkeypatch, value):
+@pytest.mark.parametrize("option, value", [
+    *(pytest.param("--duration", value, id=value)
+      for value in ("nan", "inf", "0", "-1")),
+    pytest.param("--seed", "-1", id="seed--1"),
+])
+def test_bad_duration_option_exit_code(tmp_path, monkeypatch, option, value):
     monkeypatch.setattr("doqkd.session.simulate_session", None)
-    assert main(["keygen", "--duration", value, "--out", str(tmp_path)]) == 2
+    assert main(["keygen", option, value, "--out", str(tmp_path)]) == 2

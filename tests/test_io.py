@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doqkd.errors import ConfigError
-from doqkd.io import (TTAG_DTYPE, read_csv, read_ttag, truth_path, write_csv,
-                      write_ttag)
+from doqkd.io import TTAG_DTYPE, read_ttag, truth_path, write_ttag
 from doqkd.timetags import Channel, TagStream
 
 
@@ -48,14 +47,21 @@ def test_ttag_roundtrip_truth(tmp_path):
     np.testing.assert_allclose(back.detunings[ok], s.detunings[ok])
 
 
-def test_ttag_mixed_channels(tmp_path):
-    mixed = TagStream(np.array([1, 3, 5]), None, 100,
-                      channels=np.array([0, 1, 0], np.uint8))
+def test_ttag_mixed_channels_rejected(tmp_path):
+    rec = np.zeros(3, TTAG_DTYPE)
+    rec["channel"] = [0, 1, 0]
+    rec["timestamp"] = [1, 3, 5]
     p = tmp_path / "m.ttag"
-    write_ttag(p, mixed)
-    back = read_ttag(p, 100)
-    assert back.channel is None
-    assert back.channels.tolist() == [0, 1, 0]
+    p.write_bytes(rec.tobytes())
+    with pytest.raises(ConfigError, match="channels"):
+        read_ttag(p)
+
+
+def test_ttag_empty_file_has_no_channel(tmp_path):
+    p = tmp_path / "e.ttag"
+    p.write_bytes(b"")
+    back = read_ttag(p)
+    assert (len(back), back.channel, back.duration_ps) == (0, None, 0)
 
 
 def test_ttag_truncated_rejected(tmp_path):
@@ -132,14 +138,12 @@ def test_ttag_bytes_parse_or_config_error(files):
 
 @st.composite
 def tag_streams(draw):
-    """Streams ttag-v1 represents exactly: sorted times on one channel, or
-    on several; truth, if any, is NaN and 0 wherever pair_id is -1."""
+    """Streams ttag-v1 represents exactly: sorted times on one channel;
+    truth, if any, is NaN and 0 wherever pair_id is -1."""
     n = draw(st.integers(1, 12))
     times = np.sort(np.array(draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)),
                              np.int64))
     duration = int(times[-1]) + draw(st.integers(1, 10**6))
-    codes = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), np.uint8)
-    single = np.unique(codes).size == 1
     truth = {}
     if draw(st.booleans()):
         pid = np.array(draw(st.lists(st.integers(-1, 2**63 - 1), min_size=n, max_size=n)))
@@ -149,8 +153,7 @@ def tag_streams(draw):
         none = pid == -1
         det[none], emit[none] = np.nan, 0
         truth = dict(pair_ids=pid, detunings=det, emit_times=emit)
-    return TagStream(times, Channel(int(codes[0])) if single else None, duration,
-                     channels=None if single else codes, **truth)
+    return TagStream(times, draw(st.sampled_from(Channel)), duration, **truth)
 
 
 @given(s=tag_streams())
@@ -160,29 +163,6 @@ def test_ttag_write_read_identity(s):
         write_ttag(p, s)
         back = read_ttag(p, s.duration_ps)
     assert (back.channel, back.duration_ps) == (s.channel, s.duration_ps)
-    for col in ("times", "channels", "pair_ids", "detunings", "emit_times"):
+    for col in ("times", "pair_ids", "detunings", "emit_times"):
         np.testing.assert_array_equal(getattr(back, col), getattr(s, col))
 
-
-def test_csv_roundtrip(tmp_path):
-    s = TagStream(np.array([7, 8, 2000]), Channel.F1, 3000)
-    p = tmp_path / "x.csv"
-    write_csv(p, s)
-    back = read_csv(p, duration_ps=3000)
-    assert back.channel == Channel.F1
-    np.testing.assert_array_equal(back.times, s.times)
-
-
-def test_csv_accepts_codes_and_names(tmp_path):
-    p = tmp_path / "x.csv"
-    p.write_text("channel,timestamp_ps\nT1,5\n2,9\nf2,11\n")
-    back = read_csv(p)
-    assert back.channels.tolist() == [0, 2, 3]
-    assert back.times.tolist() == [5, 9, 11]
-
-
-def test_csv_bad_line(tmp_path):
-    p = tmp_path / "x.csv"
-    p.write_text("T9,notanumber\n")
-    with pytest.raises(ConfigError):
-        read_csv(p)

@@ -6,9 +6,22 @@ import pytest
 from doqkd.errors import ReconciliationError
 from doqkd.ldpc import make_code, syndrome
 from doqkd.postproc import (ReconciliationOutcome, binary_entropy, efficiency,
-                            gray_decode_bits, gray_encode_symbols,
-                            privacy_amplify, reconcile, reconcile_key,
-                            secret_length, select_rate, verification_hash)
+                            gray_encode_symbols, privacy_amplify, reconcile,
+                            reconcile_key, secret_length, select_rate,
+                            verification_hash)
+
+
+def gray_decode_bits(bits: np.ndarray, n_bits: int) -> np.ndarray:
+    """Inverse of ``gray_encode_symbols``: the round-trip oracle."""
+    bits = np.asarray(bits, np.uint8)
+    shifts = np.arange(n_bits - 1, -1, -1)
+    g = (bits.reshape(-1, n_bits).astype(np.int64) << shifts).sum(axis=1)
+    b = g.copy()
+    shift = 1
+    while shift < n_bits:
+        b ^= b >> shift
+        shift <<= 1
+    return b
 
 
 class TestGrayCode:

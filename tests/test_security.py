@@ -7,9 +7,9 @@ import pytest
 import doqkd as dq
 from doqkd.errors import EstimationError
 from doqkd.security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
-                            estimate_tfcm, excess_noise, gaussian_entropy_g,
-                            histogram_moments, holevo_bound, mutual_information,
-                            secret_fraction, shannon_info)
+                            _peak_moments, estimate_tfcm, excess_noise,
+                            gaussian_entropy_g, holevo_bound,
+                            mutual_information, secret_fraction, shannon_info)
 from doqkd.timetags import CoincidenceHistogram
 
 
@@ -50,7 +50,7 @@ def make_pair(sigma_t0=63.7, sigma_omega=1.64e11, sigma_w0=1.07e10,
 class TestHistogramMoments:
     def test_gaussian_variance(self):
         sigma = 63.7
-        m = histogram_moments(gaussian_hist(sigma, floor_rate=20))
+        m = _peak_moments(gaussian_hist(sigma, floor_rate=20), linear_floor=False)
         assert m.variance_ps2 == pytest.approx(sigma**2, rel=0.03)
         assert abs(m.mean_ps) < 3.0
 
@@ -58,7 +58,7 @@ class TestHistogramMoments:
         # peak is resolvable but +/-3 FWHM spans the whole range
         h = gaussian_hist(150.0, half_range=990, bin_width=30)
         with pytest.raises(EstimationError):
-            histogram_moments(h)
+            _peak_moments(h, linear_floor=False)
 
 
 class TestEstimateTfcm:
@@ -148,7 +148,7 @@ class TestMutualInformation:
     def test_shannon_info_guards(self, session25):
         from doqkd.sifting import FrameFormat, SiftResult, Transcript
         small = SiftResult(np.zeros(10, np.int64), np.zeros(10, np.int64),
-                           np.arange(10), 10, 0, 0, Transcript(),
+                           10, 0, 0, Transcript(),
                            FrameFormat(2, 2, 50))
         with pytest.raises(EstimationError):
             shannon_info(small)
@@ -227,7 +227,7 @@ class TestSecretFraction:
 
 
 def test_security_report_keys():
-    rep = SecurityReport(0.1, 0.2, 3.5, 0.2, 0.9, 2.95, False)
+    rep = SecurityReport(0.1, 0.2, 3.5, 0.2, 0.9, 2.95, False, 3.6)
     d = rep.to_dict()
     assert set(d) == {"xi_t", "xi_w", "i_ab_bpc", "chi_ae_bpc", "beta",
-                      "delta_i_bpc", "no_key"}
+                      "delta_i_bpc", "no_key", "i_ab_gaussian_bpc"}

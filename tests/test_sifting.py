@@ -8,8 +8,7 @@ from hypothesis import example, given, strategies as st
 from doqkd.errors import ConfigError, DoqkdError, ProtocolAbort
 from doqkd.sifting import (FrameFormat, Message, MessageType, Transcript,
                            match_bins, pack_symbols, qber, run_sifting,
-                           security_mask, single_events, split_security_fraction,
-                           unpack_symbols)
+                           security_mask, single_events, split_security_fraction)
 from doqkd.timetags import Channel, Party, TagStream
 
 from reference_sifting import reference_sift
@@ -20,6 +19,13 @@ def tstream(times, channel=Channel.T1, duration=None):
     if duration is None:
         duration = int(times[-1]) + 1 if times.size else 0
     return TagStream(times, channel, duration)
+
+
+def unpack_symbols(data: bytes, n_bits: int, count: int) -> np.ndarray:
+    """Inverse of ``pack_symbols``: the round-trip oracle."""
+    bits = np.unpackbits(np.frombuffer(data, np.uint8))[:count * n_bits]
+    shifts = np.arange(n_bits - 1, -1, -1)
+    return (bits.reshape(count, n_bits).astype(np.int64) << shifts).sum(axis=1)
 
 
 def single_event_frames(tags, fmt):

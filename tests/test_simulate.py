@@ -8,14 +8,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import doqkd as dq
-from doqkd.errors import CalibrationError, ConfigError
-from doqkd.simulate import (CHANNELS, FWHM_PER_SIGMA, CalibrationTargets,
-                            ChannelModel, DetectorModel, DispersiveBasis,
-                            SimConfig, SourceModel, beta_from_dispersion,
-                            calibrate, dispersive_shift, dispersion_spread_ps,
-                            jitter_sigma_for_fwhm, paper_default_config,
-                            _stable_sort, simulate_session)
+from doqkd.errors import ConfigError
+from doqkd.simulate import (CHANNELS, ChannelModel, DetectorModel,
+                            DispersiveBasis, SimConfig, SourceModel,
+                            beta_from_dispersion, dispersive_shift,
+                            paper_default_config, _stable_sort,
+                            simulate_session)
 from doqkd.timetags import Channel, Party, coincidence_histogram, fwhm
+from calibration import (FWHM_PER_SIGMA, CalibrationError, CalibrationTargets,
+                         calibrate, dispersion_spread_ps, jitter_sigma_for_fwhm)
 from test_golden import simulate_config
 
 DEFAULT_DICT = paper_default_config().to_dict()
@@ -245,18 +246,19 @@ class TestCalibrate:
             calibrate(CalibrationTargets(tt_fwhm_ps=900.0, cross_fwhm_ps=150.0))
 
     def test_bundled_config_matches_calibration(self):
-        cfg = calibrate()
-        bundled = paper_default_config()
-        assert cfg.source.pair_rate_hz == pytest.approx(
-            bundled.source.pair_rate_hz, rel=1e-9)
-        for c in cfg.detectors:
-            assert cfg.detectors[c].efficiency == pytest.approx(
-                bundled.detectors[c].efficiency, rel=1e-9)
+        def fields(d, prefix=""):
+            for k, v in d.items():
+                if isinstance(v, dict):
+                    yield from fields(v, f"{prefix}{k}.")
+                else:
+                    yield f"{prefix}{k}", v
+        # every rate, width and noise parameter of the bundled file is the fit
+        assert dict(fields(calibrate().to_dict())) == pytest.approx(
+            dict(fields(paper_default_config().to_dict())), rel=1e-9)
 
     def test_calibrated_widths_within_5pct(self):
-        cfg = calibrate(refine_iterations=1)
-        cfg.duration_s = 0.5
-        cfg.baseline_duration_s = 0.5
+        # the bundled scenario's widths, without the injected channel noise
+        cfg = paper_default_config(duration_s=0.5)
         cfg.channel = ChannelModel(cfg.channel.alice_transmission,
                                    cfg.channel.bob_transmission)
         tags = simulate_session(cfg)
