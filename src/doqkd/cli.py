@@ -30,14 +30,18 @@ _STREAM_FILES = {Channel.T1: "t1.ttag", Channel.F1: "f1.ttag",
                  Channel.T2: "t2.ttag", Channel.F2: "f2.ttag"}
 
 
+# option -> the SimConfig field it overrides
+_OVERRIDES = {"seed": "seed", "duration": "duration_s",
+              "bin": "hist_bin_ps", "range": "hist_range_ps"}
+
+
 def _load_config(args) -> SimConfig:
     cfg = SimConfig.load(args.config) if args.config else paper_default_config()
-    # overrides go through replace, so they are checked like loaded values
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "duration", None) is not None:
-        cfg = replace(cfg, duration_s=args.duration)
-    return cfg
+    # overrides go through one replace, so they are checked together, like
+    # loaded values
+    return replace(cfg, **{field: getattr(args, opt)
+                           for opt, field in _OVERRIDES.items()
+                           if getattr(args, opt, None) is not None})
 
 
 def _parse_format(text: str) -> FrameFormat:
@@ -90,12 +94,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args) if args.config else None
-    bin_ps = args.bin or (cfg.hist_bin_ps if cfg else 30)
-    range_ps = args.range or (cfg.hist_range_ps if cfg else 3840)
+    cfg = _load_config(args)
     tags = _load_session_dir(args.indir)
     out = _out_dir(args)
-    hists = four_basis_histograms(tags, bin_ps, range_ps, tags.t1.duration_s)
+    hists = four_basis_histograms(tags, cfg.hist_bin_ps, cfg.hist_range_ps,
+                                  tags.t1.duration_s)
     lines = ["# combo,offset_ps,counts"]
     for name in ("tt", "tf", "ft", "ff"):
         h = getattr(hists, name)
@@ -239,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="ttag streams -> histogram/FWHM/CAR CSV")
     sp.add_argument("--in", dest="indir", required=True)
-    sp.add_argument("--bin", type=int, help="histogram bin width (ps)")
-    sp.add_argument("--range", type=int, help="histogram half-range (ps)")
+    sp.add_argument("--bin", type=int,
+                    help="histogram bin width (ps; default: the config's)")
+    sp.add_argument("--range", type=int,
+                    help="histogram half-range (ps; default: the config's)")
     common(sp)
     sp.set_defaults(func=cmd_analyze)
 

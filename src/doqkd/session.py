@@ -1,17 +1,19 @@
 """End-to-end session orchestration, parameter sweeps, and format optimization.
 
 The pipeline: simulate -> clock-align -> security/key split -> four-basis
-histograms from the security subset -> covariance analysis against a
-back-to-back baseline run -> bin sifting of the key subset -> empirical
-information -> syndrome reconciliation -> privacy amplification. Everything
-derives from the session seed, so identical configurations produce
-byte-identical keys and (timing aside) byte-identical reports.
+histograms from the security subset -> bin sifting of the key subset ->
+empirical information -> syndrome reconciliation on one worker thread,
+beside the back-to-back baseline run and the covariance analysis against
+it -> privacy amplification. Everything derives from the session seed, so
+identical configurations produce byte-identical keys and (timing aside)
+byte-identical reports, whichever of the two overlapped steps ends first.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -208,13 +210,8 @@ def run_experiment(config: SimConfig) -> SessionReport:
         singles = tags.singles_rates_hz()
 
     with _stage("security"):
-        # the baseline first: its session is the largest, and the split
-        # streams need not be alive while it is simulated
-        baseline = compute_baseline(config)
         sec, key_t1, key_t2 = split_time_streams(tags, config, fmt)
         hists, tfcm = _estimate(sec, config)
-        xi_t, xi_w, chi = security_figures(tfcm, baseline)
-        i_gauss = gaussian_time_information(tfcm, baseline)
 
     with _stage("sift"):
         sift = run_sifting(key_t1, key_t2, fmt)
@@ -233,12 +230,24 @@ def run_experiment(config: SimConfig) -> SessionReport:
             mutual_information(sift.key_a, sift.key_b, fmt.slots_per_frame)
             if sift.kept_frames else 0.0)
 
-    with _stage("reconcile"):
-        outcome = reconcile_key(a_bits, b_bits, block_length=config.block_length,
-                                max_iters=config.max_iterations,
-                                min_overhead=config.min_overhead,
-                                code_seed=CODE_SEED)
-        beta = outcome.efficiency_beta if outcome.n_blocks else NOMINAL_BETA
+    # The baseline, the largest simulation of a session, runs on this thread
+    # into the memory the session's tags held, while one worker decodes
+    # beside it with only small per-block arrays. A baseline failure is
+    # reported over a decoding failure, as when the two ran in turn.
+    del tags, sec, key_t1, key_t2
+    with ThreadPoolExecutor(1) as pool:
+        reconciling = pool.submit(reconcile_key, a_bits, b_bits,
+                                  block_length=config.block_length,
+                                  max_iters=config.max_iterations,
+                                  min_overhead=config.min_overhead,
+                                  code_seed=CODE_SEED)
+        with _stage("security"):
+            baseline = compute_baseline(config)
+            xi_t, xi_w, chi = security_figures(tfcm, baseline)
+            i_gauss = gaussian_time_information(tfcm, baseline)
+        with _stage("reconcile"):
+            outcome = reconciling.result()
+            beta = outcome.efficiency_beta if outcome.n_blocks else NOMINAL_BETA
 
     with _stage("amplify"):
         delta_i, no_key = secret_fraction(i_ab, chi, beta)

@@ -159,20 +159,19 @@ def coincidence_histogram(a: TagStream, b: TagStream, bin_width: int,
 
     ta = a.times
     tb = b.times
-    if len(ta) and len(tb):
-        # window [t_a + lo, t_a + hi) per a-tag; vectorized expansion
-        left = np.searchsorted(tb, ta + lo, side="left")
-        right = np.searchsorted(tb, ta + hi, side="left")
-        lens = right - left
-        tot = int(lens.sum())
-        if tot:
-            a_idx = np.repeat(np.arange(len(ta)), lens)
-            # ragged range construction: cumulative offsets trick
-            starts = np.repeat(left, lens)
-            within = np.arange(tot) - np.repeat(np.cumsum(lens) - lens, lens)
-            b_idx = starts + within
-            offs = tb[b_idx] - ta[a_idx]
-            np.add.at(counts, (offs - lo) // bin_width, 1)
+    # one search finds each a-tag's first b-tag at or after t_a + lo; the
+    # windows then step forward together, each round dropping the a-tags
+    # whose next b-tag is at or past t_a + hi. A window holds a handful of
+    # tags, so few rounds run and each is smaller than the last.
+    j = np.searchsorted(tb, ta + lo, side="left")
+    while j.size:
+        live = j < len(tb)
+        j, ta = j[live], ta[live]
+        d = tb[j] - ta
+        live = d < hi
+        j, ta, d = j[live], ta[live], d[live]
+        counts += np.bincount((d - lo) // bin_width, minlength=n_bins)
+        j += 1
 
     if acquisition_time_s is None:
         acquisition_time_s = max(a.duration_s, b.duration_s)

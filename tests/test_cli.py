@@ -48,6 +48,19 @@ def test_analyze(sim_dir, tmp_path):
     assert any(line.startswith("ff,") for line in csv)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--bin", "-5"), ("--bin", "0"), ("--range", "0"), ("--range", "-30"),
+    # 2 * 7 ps is not a whole number of 30 ps bins, nor 7680 ps of 7 ps bins
+    ("--range", "7"), ("--bin", "7"),
+])
+def test_analyze_bad_bins_exit_code(sim_dir, tmp_path, monkeypatch, option,
+                                    value):
+    # rejected before any stream file is read
+    monkeypatch.setattr("doqkd.cli.read_ttag", None)
+    assert main(["analyze", "--in", str(sim_dir), option, value,
+                 "--out", str(tmp_path)]) == 2
+
+
 def test_sift_and_exit_codes(sim_dir, tmp_path):
     rc = main(["sift", "--in", str(sim_dir), "--format", "4,3,160",
                "--out", str(tmp_path)])

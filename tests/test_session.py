@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +99,54 @@ class TestRunExperiment:
         cfg.security_fraction = 0.9999999  # leaves no key events
         with pytest.raises(StageError):
             run_experiment(cfg)
+
+
+class TestOverlap:
+    """Decoding runs on one worker thread while this thread runs the
+    baseline; neither the order they finish in nor a failure in one of them
+    leaks into the output or leaves a thread behind."""
+
+    @pytest.mark.parametrize("slow", ["reconcile_key", "compute_baseline"])
+    def test_output_independent_of_finish_order(self, tiny_report, monkeypatch,
+                                                slow):
+        fn = getattr(session, slow)
+
+        def late(*args, **kwargs):
+            time.sleep(0.2)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(session, slow, late)
+        threads = threading.active_count()
+        rep = run_experiment(tiny_cfg())
+        assert threading.active_count() == threads
+        assert tiny_report.secret_key
+        assert rep.secret_key == tiny_report.secret_key
+        assert rep.canonical_bytes() == tiny_report.canonical_bytes()
+
+    @pytest.mark.parametrize("failing, stage", [
+        (("compute_baseline",), "security"),
+        (("reconcile_key",), "reconcile"),
+        # the decoder fails first, but the baseline's failure is reported,
+        # as when the two ran in turn
+        (("compute_baseline", "reconcile_key"), "security"),
+    ])
+    def test_failure_stage(self, monkeypatch, failing, stage):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        def fail_late(config):
+            time.sleep(0.2)  # the decoder, if it fails, has failed by now
+            raise RuntimeError("injected")
+
+        fakes = {"compute_baseline": fail_late, "reconcile_key": fail}
+        for name in failing:
+            monkeypatch.setattr(session, name, fakes[name])
+        threads = threading.active_count()
+        with pytest.raises(StageError) as err:
+            run_experiment(tiny_cfg())
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, RuntimeError)
+        assert threading.active_count() == threads
 
 
 @pytest.fixture(scope="module")

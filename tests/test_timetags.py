@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from doqkd.errors import NoPeakError
 from doqkd.timetags import (Channel, CoincidenceHistogram, TagStream,
                             coincidence_histogram, effective_rates, fwhm)
+
+from reference_histogram import reference_histogram
 
 
 def stream(times, channel=Channel.T1, duration=None):
@@ -55,6 +59,51 @@ class TestCoincidenceHistogram:
         coarse = coincidence_histogram(a, b, 60, (-3000, 3000))
         assert coarse.total == fine.total
         np.testing.assert_array_equal(coarse.counts, rebin(fine, 2).counts)
+
+
+@st.composite
+def histogram_cases(draw):
+    """Two short streams over a narrow span (so ties are common), and a bin
+    layout; b also holds tags exactly at t_a + lo and t_a + hi of some
+    a-tags."""
+    bin_width = draw(st.sampled_from([1, 2, 3, 7, 30]))
+    lo = draw(st.integers(-60, 60))
+    hi = lo + bin_width * draw(st.integers(1, 12))
+    span = draw(st.sampled_from([20, 300]))
+    ta = draw(st.lists(st.integers(0, span), max_size=40))
+    tb = draw(st.lists(st.integers(0, span), max_size=40))
+    if ta:
+        edge = draw(st.lists(st.sampled_from(ta), max_size=6))
+        tb += [t + lo for t in edge] + [t + hi for t in edge]
+    return sorted(ta), sorted(t for t in tb if t >= 0), bin_width, lo, hi
+
+
+class TestHistogramOracle:
+    """The one-search kernel counts exactly the all-pairs offsets."""
+
+    @given(histogram_cases())
+    # ties on both sides, with offsets exactly at lo (counted) and hi (not)
+    @example(([5, 5, 9], [2, 5, 5, 9, 9, 12], 3, -3, 3))
+    @example(([], [1, 2], 1, -2, 2))
+    @example(([1, 2], [], 1, -2, 2))
+    def test_matches_all_pairs(self, case):
+        ta, tb, bin_width, lo, hi = case
+        h = coincidence_histogram(stream(ta), stream(tb, Channel.T2),
+                                  bin_width, (lo, hi))
+        np.testing.assert_array_equal(
+            h.counts, reference_histogram(ta, tb, bin_width, lo, hi))
+
+    def test_dense_windows(self):
+        # about 120 b-tags per 1,200 ps window: the forward walk runs
+        # for well over a hundred rounds
+        rng = np.random.default_rng(17)
+        ta = np.sort(rng.integers(0, 20_000, 2000))
+        tb = np.sort(rng.integers(0, 20_000, 2000))
+        h = coincidence_histogram(stream(ta), stream(tb, Channel.T2), 30,
+                                  (-600, 600))
+        assert h.total > 24 * ta.size
+        np.testing.assert_array_equal(
+            h.counts, reference_histogram(ta, tb, 30, -600, 600))
 
 
 def rebin(h, factor):
