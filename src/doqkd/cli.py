@@ -15,8 +15,8 @@ from .io import read_ttag, write_json, write_ttag
 from .session import (CODE_SEED, DEFAULT_I_GRID, DEFAULT_N_GRID,
                       DEFAULT_TAU_GRID, PA_SEED_SALT, align_bob, analyze_security,
                       baseline_from_tags, four_basis_histograms,
-                      histogram_summaries, optimize, run_experiment,
-                      security_figures, sweep)
+                      histogram_summaries, optimize, process_session,
+                      run_experiment, security_figures, sweep)
 from .sifting import FrameFormat, pack_symbols, qber, run_sifting
 from .simulate import SessionTags, SimConfig, paper_default_config, simulate_session
 from .timetags import Channel, TagStream
@@ -59,8 +59,6 @@ def _read_streams(path: str | Path, channels, duration_ps: int | None = None
     streams = []
     for ch in channels:
         f = Path(path) / _STREAM_FILES[ch]
-        if not f.exists():
-            raise ConfigError(f"missing stream file {f}")
         s = read_ttag(f, duration_ps)
         if len(s) and s.channel != ch:
             raise ConfigError(f"{f} holds {s.channel.name} records, not {ch.name}")
@@ -72,19 +70,23 @@ def _read_streams(path: str | Path, channels, duration_ps: int | None = None
     return streams
 
 
-def _load_session_dir(path: str | Path, duration_ps: int | None = None) -> SessionTags:
-    return SessionTags(*_read_streams(path, _STREAM_FILES, duration_ps))
+def _read_session(path: str | Path, cfg: SimConfig) -> SessionTags:
+    """A recording of ``cfg``'s session, read at its duration and aligned."""
+    return align_bob(SessionTags(*_read_streams(path, _STREAM_FILES, cfg.duration_ps)),
+                     cfg.channel.propagation_delay_ps)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {out}: {e}") from e
     return out
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out: Path) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     tags = simulate_session(cfg, truth=True)
     for ch, name in _STREAM_FILES.items():
         write_ttag(out / name, tags.stream(ch))
@@ -93,10 +95,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out: Path) -> int:
     cfg = _load_config(args)
-    tags = _load_session_dir(args.indir)
-    out = _out_dir(args)
+    tags = SessionTags(*_read_streams(args.indir, _STREAM_FILES))
     hists = four_basis_histograms(tags, cfg.hist_bin_ps, cfg.hist_range_ps,
                                   tags.t1.duration_s)
     lines = ["# combo,offset_ps,counts"]
@@ -112,11 +113,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_sift(args) -> int:
+def cmd_sift(args, out: Path) -> int:
     fmt = _parse_format(args.format)
     fmt_b = _parse_format(args.format_b) if args.format_b else None
     t1, t2 = _read_streams(args.indir, (Channel.T1, Channel.T2))
-    out = _out_dir(args)
     result = run_sifting(t1, t2, fmt, fmt_b)
     (out / "key_a.bin").write_bytes(pack_symbols(result.key_a, fmt.n_bits))
     (out / "key_b.bin").write_bytes(pack_symbols(result.key_b, fmt.n_bits))
@@ -132,32 +132,35 @@ def cmd_sift(args) -> int:
     return EXIT_OK
 
 
-def cmd_secure(args) -> int:
+def cmd_secure(args, out: Path) -> int:
     cfg = _load_config(args)
-    tags = align_bob(_load_session_dir(args.indir, cfg.duration_ps),
-                     cfg.channel.propagation_delay_ps)
-    base_tags = _load_session_dir(args.baseline, cfg.baseline_config().duration_ps)
-    _, tfcm = analyze_security(tags, cfg)
-    baseline = baseline_from_tags(base_tags, cfg)
+    _, tfcm = analyze_security(_read_session(args.indir, cfg), cfg)
+    baseline = baseline_from_tags(_read_session(args.baseline, cfg.baseline_config()),
+                                  cfg)
     xi_t, xi_w, chi = security_figures(tfcm, baseline)
     report = {"xi_t": xi_t, "xi_w": xi_w, "chi_ae_bpc": chi,
               "tfcm": tfcm.matrix.tolist(),
               "baseline_tfcm": baseline.tfcm.matrix.tolist()}
-    out = _out_dir(args)
     write_json(out / "security.json", report)
     print({k: report[k] for k in ("xi_t", "xi_w", "chi_ae_bpc")})
     return EXIT_OK
 
 
-def cmd_keygen(args) -> int:
+def cmd_keygen(args, out: Path) -> int:
+    if (args.indir is None) != (args.baseline is None):
+        raise ConfigError("keygen takes --in and --baseline together")
     cfg = _load_config(args)
     if args.format:
         fmt = _parse_format(args.format)
         cfg.format_n_bits = fmt.n_bits
         cfg.format_bins_per_slot = fmt.bins_per_slot
         cfg.format_bin_width_ps = fmt.bin_width_ps
-    report = run_experiment(cfg)
-    out = _out_dir(args)
+    if args.indir is None:
+        report = run_experiment(cfg)
+    else:
+        bcfg = cfg.baseline_config()
+        report = process_session(_read_session(args.indir, cfg), cfg, lambda:
+                                 baseline_from_tags(_read_session(args.baseline, bcfg), cfg))
     (out / "secret_key.bin").write_bytes(report.secret_key)
     (out / "raw_key_a.bin").write_bytes(report.raw_key_a)
     (out / "raw_key_b.bin").write_bytes(report.raw_key_b)
@@ -196,19 +199,18 @@ def _parse_grid(text: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
     return grid
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out: Path) -> int:
     cfg = _load_config(args)
     table = sweep(cfg,
                   tau_list=_parse_grid(args.tau_list, DEFAULT_TAU_GRID),
                   i_list=_parse_grid(args.i_list, DEFAULT_I_GRID),
                   n_list=_parse_grid(args.n_list, DEFAULT_N_GRID))
-    out = _out_dir(args)
     (out / "sweep.csv").write_text(table.to_csv())
     print(f"wrote {len(table)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args, out: Path) -> int:
     if not 0.0 < args.qber_cap < 0.5:
         raise ConfigError(f"--qber-cap must be in (0, 0.5), got {args.qber_cap}")
     cfg = _load_config(args)
@@ -216,7 +218,6 @@ def cmd_optimize(args) -> int:
                        n_list=_parse_grid(args.n_list, DEFAULT_N_GRID),
                        tau_list=_parse_grid(args.tau_list, DEFAULT_TAU_GRID),
                        i_list=_parse_grid(args.i_list, DEFAULT_I_GRID))
-    out = _out_dir(args)
     write_json(out / "optimize.json", [e.to_dict() for e in entries])
     for e in entries:
         print(e.to_dict())
@@ -264,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("keygen", help="end-to-end secret key generation")
     sp.add_argument("--format", metavar="N,I,TAU_PS")
+    sp.add_argument("--in", dest="indir", help="recorded session (default: simulate)")
+    sp.add_argument("--baseline", help="baseline session directory, with --in")
     common(sp)
     sp.set_defaults(func=cmd_keygen)
 
@@ -288,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _out_dir(args))
     except DoqkdError as e:
         cause = e.cause if isinstance(e, StageError) else e
         if isinstance(cause, ConfigError):

@@ -49,10 +49,16 @@ def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
     """Read a ttag-v1 file (and its side file, if present) into one stream.
 
     The result is sorted by timestamp; the file itself need not be. Records
-    of more than one channel, or negative timestamps, raise ConfigError.
-    An empty file gives a stream without a channel.
+    of more than one channel, negative timestamps, timestamps at or after
+    ``duration_ps``, or a file that cannot be read raise ConfigError. An
+    empty file gives a stream without a channel.
     """
-    raw = Path(path).read_bytes()
+    tp = truth_path(path)
+    try:
+        raw = Path(path).read_bytes()
+        side_raw = tp.read_bytes() if tp.exists() else None
+    except OSError as e:
+        raise ConfigError(f"cannot read {e.filename}: {e.strerror}") from e
     if len(raw) % TTAG_DTYPE.itemsize:
         raise ConfigError(f"{path}: truncated ttag-v1 file")
     rec = np.frombuffer(raw, TTAG_DTYPE)
@@ -65,9 +71,7 @@ def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
                           "(a ttag-v1 file holds one)")
 
     truth = {}
-    tp = truth_path(path)
-    if tp.exists():
-        side_raw = tp.read_bytes()
+    if side_raw is not None:
         if len(side_raw) % TRUTH_DTYPE.itemsize:
             raise ConfigError(f"{tp}: truncated side file")
         side = np.frombuffer(side_raw, TRUTH_DTYPE)
@@ -84,6 +88,9 @@ def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
     times = times[order]
     if duration_ps is None:
         duration_ps = int(times[-1]) + 1 if len(times) else 0
+    elif times.size and times[-1] >= duration_ps:
+        raise ConfigError(f"{path}: timestamp {times[-1]} ps is at or after the "
+                          f"session's end, {duration_ps} ps")
     return TagStream(times, Channel(int(chans[0])) if chans.size else None,
                      duration_ps, **{k: v[order] for k, v in truth.items()})
 

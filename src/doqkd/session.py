@@ -1,10 +1,11 @@
 """End-to-end session orchestration, parameter sweeps, and format optimization.
 
-The pipeline: simulate -> clock-align -> security/key split -> four-basis
-histograms from the security subset -> bin sifting of the key subset ->
-empirical information -> syndrome reconciliation on one worker thread,
-beside the back-to-back baseline run and the covariance analysis against
-it -> privacy amplification. Everything derives from the session seed, so
+The pipeline: simulate -> clock-align -> ``process_session``, which takes
+aligned tags, simulated or recorded, through the security/key split ->
+four-basis histograms from the security subset -> bin sifting of the key
+subset -> empirical information -> syndrome reconciliation on one worker
+thread, beside the baseline and the covariance analysis against it ->
+privacy amplification. Everything derives from the session seed, so
 identical configurations produce byte-identical keys and (timing aside)
 byte-identical reports, whichever of the two overlapped steps ends first.
 """
@@ -16,6 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -200,14 +202,32 @@ class SessionReport:
         return canonical_json(self.to_dict(include_timing=False)).encode()
 
 
+def _simulate(config: SimConfig) -> SessionTags:
+    with _stage("simulate"):
+        return align_bob(simulate_session(config), config.channel.propagation_delay_ps)
+
+
 def run_experiment(config: SimConfig) -> SessionReport:
-    """Simulate and post-process one full session."""
+    """Simulate one session and post-process it with ``process_session``."""
+    t_start = time.monotonic()
+    # the tags are passed unnamed, so the call holds their only reference
+    report = process_session(_simulate(config), config,
+                             lambda: compute_baseline(config))
+    report.wall_clock_s = time.monotonic() - t_start
+    return report
+
+
+def process_session(tags: SessionTags, config: SimConfig,
+                    baseline: Callable[[], Baseline]) -> SessionReport:
+    """Turn one session's clock-aligned tags into a key and its report.
+
+    ``baseline`` runs on the calling thread while one worker thread decodes.
+    The tags are released before it starts, so a caller that keeps no
+    reference to them lets the baseline reuse their memory.
+    """
     t_start = time.monotonic()
     fmt = session_format(config)
-
-    with _stage("simulate"):
-        tags = align_bob(simulate_session(config), config.channel.propagation_delay_ps)
-        singles = tags.singles_rates_hz()
+    singles = tags.singles_rates_hz()
 
     with _stage("security"):
         sec, key_t1, key_t2 = split_time_streams(tags, config, fmt)
@@ -230,8 +250,8 @@ def run_experiment(config: SimConfig) -> SessionReport:
             mutual_information(sift.key_a, sift.key_b, fmt.slots_per_frame)
             if sift.kept_frames else 0.0)
 
-    # The baseline, the largest simulation of a session, runs on this thread
-    # into the memory the session's tags held, while one worker decodes
+    # The baseline, the largest simulation or read of a session, runs on this
+    # thread into the memory the session's tags held, while one worker decodes
     # beside it with only small per-block arrays. A baseline failure is
     # reported over a decoding failure, as when the two ran in turn.
     del tags, sec, key_t1, key_t2
@@ -242,9 +262,9 @@ def run_experiment(config: SimConfig) -> SessionReport:
                                   min_overhead=config.min_overhead,
                                   code_seed=CODE_SEED)
         with _stage("security"):
-            baseline = compute_baseline(config)
-            xi_t, xi_w, chi = security_figures(tfcm, baseline)
-            i_gauss = gaussian_time_information(tfcm, baseline)
+            reference = baseline()
+            xi_t, xi_w, chi = security_figures(tfcm, reference)
+            i_gauss = gaussian_time_information(tfcm, reference)
         with _stage("reconcile"):
             outcome = reconciling.result()
             beta = outcome.efficiency_beta if outcome.n_blocks else NOMINAL_BETA

@@ -1,15 +1,15 @@
 import dataclasses
 import json
 import math
-from pathlib import Path
+import shutil
 
 import numpy as np
 import pytest
 
 from doqkd.cli import main
-from doqkd.io import TTAG_DTYPE
+from doqkd.io import TTAG_DTYPE, canonical_json
 from doqkd.session import run_experiment
-from doqkd.simulate import paper_default_config
+from doqkd.simulate import SimConfig, paper_default_config
 
 
 @pytest.fixture(scope="module")
@@ -75,27 +75,28 @@ def test_sift_and_exit_codes(sim_dir, tmp_path):
     assert rc == 3
 
 
-def test_secure(cli_cfg, sim_dir, tmp_path_factory):
-    cfg_path = Path(cli_cfg)
-    base_dir = tmp_path_factory.mktemp("base")
-    cfg = paper_default_config()
-    cfg.duration_s = 0.12
-    base = cfg.baseline_config()
-    base.duration_s = 0.12
-    bp = base_dir / "bcfg.json"
-    base.save(bp)
-    assert main(["simulate", "--config", str(bp), "--out", str(base_dir)]) == 0
-    out = tmp_path_factory.mktemp("sec")
-    rc = main(["secure", "--in", str(sim_dir), "--baseline", str(base_dir),
-               "--config", cli_cfg, "--out", str(out)])
+@pytest.fixture(scope="module")
+def ref_dir(cli_cfg, tmp_path_factory):
+    """A recording of ``cli_cfg``'s baseline session."""
+    out = tmp_path_factory.mktemp("ref")
+    SimConfig.load(cli_cfg).baseline_config().save(out / "bcfg.json")
+    assert main(["simulate", "--config", str(out / "bcfg.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_secure(cli_cfg, sim_dir, ref_dir, tmp_path):
+    rc = main(["secure", "--in", str(sim_dir), "--baseline", str(ref_dir),
+               "--config", cli_cfg, "--out", str(tmp_path)])
     assert rc == 0
-    rep = json.loads((out / "security.json").read_text())
+    rep = json.loads((tmp_path / "security.json").read_text())
     assert {"xi_t", "xi_w", "chi_ae_bpc", "tfcm"} <= set(rep)
 
 
-def secure_chi(cfg, tmp_path) -> float:
-    """chi(A;E) of CLI ``secure`` on simulated recordings of ``cfg`` and of
-    its baseline session."""
+def check_recorded_matches_simulated(cfg, tmp_path):
+    """On simulated recordings of ``cfg`` and of its baseline session, CLI
+    ``secure`` gives run_experiment's chi(A;E), and ``keygen --in`` its key
+    and, timing aside, its report."""
     dirs = []
     for label, c in (("run", cfg), ("ref", cfg.baseline_config())):
         d = tmp_path / label
@@ -103,11 +104,20 @@ def secure_chi(cfg, tmp_path) -> float:
         c.save(d / "cfg.json")
         assert main(["simulate", "--config", str(d / "cfg.json"),
                      "--out", str(d)]) == 0
-        dirs.append(d)
-    out = tmp_path / "out"
-    assert main(["secure", "--in", str(dirs[0]), "--baseline", str(dirs[1]),
-                 "--config", str(dirs[0] / "cfg.json"), "--out", str(out)]) == 0
-    return json.loads((out / "security.json").read_text())["chi_ae_bpc"]
+        dirs.append(str(d))
+    recorded = ["--in", dirs[0], "--baseline", dirs[1],
+                "--config", str(tmp_path / "run" / "cfg.json")]
+    sec, key = tmp_path / "sec", tmp_path / "key"
+    assert main(["secure", *recorded, "--out", str(sec)]) == 0
+    assert main(["keygen", *recorded, "--out", str(key)]) == 0
+    rep = run_experiment(cfg)
+    chi = json.loads((sec / "security.json").read_text())["chi_ae_bpc"]
+    assert chi == rep.security.chi_ae_bpc
+    assert rep.secret_key
+    assert (key / "secret_key.bin").read_bytes() == rep.secret_key
+    written = json.loads((key / "report.json").read_text())
+    del written["wall_clock_s"]
+    assert canonical_json(written).encode() == rep.canonical_bytes()
 
 
 def test_secure_chi_matches_keygen(tmp_path):
@@ -116,16 +126,66 @@ def test_secure_chi_matches_keygen(tmp_path):
     cfg = paper_default_config(seed=5)
     cfg.duration_s = cfg.baseline_duration_s = 0.2
     cfg.block_length = 2048
-    assert secure_chi(cfg, tmp_path) == run_experiment(cfg).security.chi_ae_bpc
+    check_recorded_matches_simulated(cfg, tmp_path)
 
 
 def test_secure_removes_propagation_delay(tmp_path):
-    # Bob's recordings carry the fiber delay; secure aligns them as
-    # run_experiment does before any histogram is taken
+    # Bob's recordings carry the fiber delay; secure and keygen --in align
+    # them as run_experiment does before any histogram is taken
     cfg = paper_default_config(seed=13, propagation_delay_ps=5 * 7680 + 123)
     cfg.duration_s = cfg.baseline_duration_s = 0.2
     cfg.block_length = 2048
-    assert secure_chi(cfg, tmp_path) == run_experiment(cfg).security.chi_ae_bpc
+    check_recorded_matches_simulated(cfg, tmp_path)
+
+
+@pytest.fixture
+def nothing_read(monkeypatch):
+    """Fail the test if any session is simulated or any stream file read."""
+    def called(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in ("doqkd.session.simulate_session", "doqkd.cli.simulate_session",
+                 "doqkd.cli.read_ttag"):
+        monkeypatch.setattr(name, called)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["analyze", "--in", "run"], ["sift", "--in", "run", "--format", "4,3,160"],
+    ["secure", "--in", "run", "--baseline", "ref"], ["keygen"],
+    ["keygen", "--in", "run", "--baseline", "ref"], ["sweep"], ["optimize"],
+], ids=" ".join)
+def test_out_is_a_file_exit_code(sim_dir, tmp_path, nothing_read, command):
+    (tmp_path / "afile").write_text("")
+    command = [str(sim_dir) if arg in ("run", "ref") else arg for arg in command]
+    assert main([*command, "--out", str(tmp_path / "afile")]) == 2
+
+
+@pytest.mark.parametrize("option", ["--in", "--baseline"])
+def test_keygen_in_and_baseline_pair_exit_code(tmp_path, nothing_read, option):
+    assert main(["keygen", option, str(tmp_path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("missing_from", ["run", "ref"])
+def test_keygen_in_missing_stream_exit_code(cli_cfg, sim_dir, ref_dir, tmp_path,
+                                            missing_from):
+    dirs = {"run": tmp_path / "run", "ref": tmp_path / "ref"}
+    shutil.copytree(sim_dir, dirs["run"])
+    shutil.copytree(ref_dir, dirs["ref"])
+    (dirs[missing_from] / "t2.ttag").unlink()
+    assert main(["keygen", "--in", str(dirs["run"]), "--baseline", str(dirs["ref"]),
+                 "--config", cli_cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_keygen_in_recording_longer_than_config_exit_code(sim_dir, ref_dir,
+                                                          tmp_path):
+    # the recording runs 0.12 s; read at 0.06 s, half its tags would lie
+    # beyond the session's end and double its rates
+    cfg = SimConfig.load(sim_dir / "session.json")
+    cfg.duration_s = cfg.baseline_duration_s = 0.06
+    cfg.save(tmp_path / "short.json")
+    assert main(["keygen", "--in", str(sim_dir), "--baseline", str(ref_dir),
+                 "--config", str(tmp_path / "short.json"),
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_keygen(cli_cfg, tmp_path):
@@ -194,6 +254,10 @@ def test_malformed_input_exit_codes(tmp_path):
             (run / f"{name}.ttag").write_bytes(rec.tobytes())
         assert main(["sift", "--in", str(run), "--format", "4,3,160",
                      "--out", str(run)]) == 2
+    # a stream path that is a directory
+    run = tmp_path / "dir_t1"
+    (run / "t1.ttag").mkdir(parents=True)
+    assert main(["analyze", "--in", str(run), "--out", str(run)]) == 2
 
 
 def test_sweep_and_optimize(cli_cfg, tmp_path):

@@ -80,6 +80,23 @@ def test_ttag_negative_timestamp_rejected(tmp_path):
         read_ttag(p)
 
 
+def test_ttag_timestamp_at_session_end_rejected(tmp_path):
+    s = TagStream(np.array([5, 10, 99]), Channel.T1, 100)
+    p = tmp_path / "x.ttag"
+    write_ttag(p, s)
+    assert len(read_ttag(p, duration_ps=100)) == 3
+    with pytest.raises(ConfigError, match="session's end"):
+        read_ttag(p, duration_ps=99)
+
+
+def test_ttag_side_file_unreadable(tmp_path):
+    p = tmp_path / "x.ttag"
+    write_ttag(p, TagStream(np.array([1, 2]), Channel.T1, 10))
+    truth_path(p).mkdir()
+    with pytest.raises(ConfigError, match="cannot read"):
+        read_ttag(p)
+
+
 def test_ttag_side_count_mismatch(tmp_path):
     s = truth_stream(100)
     p = tmp_path / "x.ttag"

@@ -101,27 +101,54 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+@pytest.fixture(scope="module")
+def recorded():
+    """tiny_cfg()'s aligned session and baseline tags, fixed before any run
+    as a recording's are."""
+    cfg, bcfg = tiny_cfg(), tiny_cfg().baseline_config()
+    return (align_bob(dq.simulate_session(cfg), cfg.channel.propagation_delay_ps),
+            align_bob(dq.simulate_session(bcfg), bcfg.channel.propagation_delay_ps))
+
+
+# the session attributes each overlapped step is reached through: the
+# recorded runs' baseline callable calls baseline_from_tags
+STEP_ATTRS = {"compute_baseline": ("compute_baseline", "baseline_from_tags"),
+              "reconcile_key": ("reconcile_key",)}
+
+
 class TestOverlap:
     """Decoding runs on one worker thread while this thread runs the
     baseline; neither the order they finish in nor a failure in one of them
-    leaks into the output or leaves a thread behind."""
+    leaks into the output or leaves a thread behind. Each case runs
+    run_experiment, and process_session on recorded tags with a recorded
+    baseline callable."""
+
+    @staticmethod
+    def runs(recorded):
+        cfg = tiny_cfg()
+        tags, btags = recorded
+        yield lambda: run_experiment(cfg)
+        yield lambda: session.process_session(
+            tags, cfg, lambda: session.baseline_from_tags(btags, cfg))
 
     @pytest.mark.parametrize("slow", ["reconcile_key", "compute_baseline"])
-    def test_output_independent_of_finish_order(self, tiny_report, monkeypatch,
-                                                slow):
-        fn = getattr(session, slow)
+    def test_output_independent_of_finish_order(self, tiny_report, recorded,
+                                                monkeypatch, slow):
+        def late(fn):
+            def call(*args, **kwargs):
+                time.sleep(0.2)
+                return fn(*args, **kwargs)
+            return call
 
-        def late(*args, **kwargs):
-            time.sleep(0.2)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(session, slow, late)
-        threads = threading.active_count()
-        rep = run_experiment(tiny_cfg())
-        assert threading.active_count() == threads
+        for attr in STEP_ATTRS[slow]:
+            monkeypatch.setattr(session, attr, late(getattr(session, attr)))
         assert tiny_report.secret_key
-        assert rep.secret_key == tiny_report.secret_key
-        assert rep.canonical_bytes() == tiny_report.canonical_bytes()
+        for run in self.runs(recorded):
+            threads = threading.active_count()
+            rep = run()
+            assert threading.active_count() == threads
+            assert rep.secret_key == tiny_report.secret_key
+            assert rep.canonical_bytes() == tiny_report.canonical_bytes()
 
     @pytest.mark.parametrize("failing, stage", [
         (("compute_baseline",), "security"),
@@ -130,23 +157,25 @@ class TestOverlap:
         # as when the two ran in turn
         (("compute_baseline", "reconcile_key"), "security"),
     ])
-    def test_failure_stage(self, monkeypatch, failing, stage):
+    def test_failure_stage(self, recorded, monkeypatch, failing, stage):
         def fail(*args, **kwargs):
             raise RuntimeError("injected")
 
-        def fail_late(config):
+        def fail_late(*args):
             time.sleep(0.2)  # the decoder, if it fails, has failed by now
             raise RuntimeError("injected")
 
         fakes = {"compute_baseline": fail_late, "reconcile_key": fail}
         for name in failing:
-            monkeypatch.setattr(session, name, fakes[name])
-        threads = threading.active_count()
-        with pytest.raises(StageError) as err:
-            run_experiment(tiny_cfg())
-        assert err.value.stage == stage
-        assert isinstance(err.value.cause, RuntimeError)
-        assert threading.active_count() == threads
+            for attr in STEP_ATTRS[name]:
+                monkeypatch.setattr(session, attr, fakes[name])
+        for run in self.runs(recorded):
+            threads = threading.active_count()
+            with pytest.raises(StageError) as err:
+                run()
+            assert err.value.stage == stage
+            assert isinstance(err.value.cause, RuntimeError)
+            assert threading.active_count() == threads
 
 
 @pytest.fixture(scope="module")
