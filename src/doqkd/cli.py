@@ -158,6 +158,10 @@ def cmd_keygen(args, out: Path) -> int:
     if args.indir is None:
         report = run_experiment(cfg)
     else:
+        # the baseline is read only after the session is decoded; check first
+        for name in _STREAM_FILES.values():
+            if not (Path(args.baseline) / name).is_file():
+                raise ConfigError(f"no stream file {Path(args.baseline) / name}")
         bcfg = cfg.baseline_config()
         report = process_session(_read_session(args.indir, cfg), cfg, lambda:
                                  baseline_from_tags(_read_session(args.baseline, bcfg), cfg))

@@ -9,6 +9,10 @@ frequency noise on the receiver arm.
 The session is generated in fixed canonical time chunks with per-chunk
 derived seeds, so output is reproducible and independent of how the work is
 batched. All randomness flows from the single 64-bit session seed.
+
+Memory per chunk: one int8 outcome code per emitted pair and party (unseen,
+time path or frequency path), drawn in cache-sized blocks; float64 columns
+only for the pairs with a detection, about a quarter on the paper default.
 """
 from __future__ import annotations
 
@@ -29,6 +33,9 @@ SPEED_OF_LIGHT_NM_S = 2.99792458e17
 CHUNK_PS = 250_000_000_000  # canonical generation chunk: 0.25 s
 
 CHANNELS = (Channel.T1, Channel.F1, Channel.T2, Channel.F2)
+
+_BLOCK = 1 << 16  # uniforms per draw: a 512 KiB buffer that stays in cache
+_FREQ, _TIME = 1, 2  # outcome codes; 0 is a photon that is not detected
 
 
 def beta_from_dispersion(dispersion_ps_per_nm: float, wavelength_nm: float = 1550.0) -> float:
@@ -322,6 +329,19 @@ def _chunk_rng(seed: int, chunk: int, purpose: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, chunk)))
 
 
+def _outcomes(rng: np.random.Generator, n: int, p_time: float, p_freq: float) -> np.ndarray:
+    """Codes of ``rng.random(n)``: ``_TIME`` below ``p_time``, ``_FREQ`` below
+    ``p_time + p_freq``, else 0; the generator ends as that call leaves it."""
+    codes = np.empty(n, np.int8)
+    u, timed = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK), bool)
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        rng.random(out=u[:m])
+        np.less(u[:m], p_time + p_freq, out=codes[lo:lo + m].view(bool))
+        codes[lo:lo + m] += np.less(u[:m], p_time, out=timed[:m])
+    return codes
+
+
 def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted ``values`` and ``np.argsort(values, kind="stable")``.
 
@@ -342,18 +362,11 @@ def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered, order
 
 
-def simulate_session(config: SimConfig, *, truth: bool = False) -> SessionTags:
-    """Generate the four tag streams for one session.
-
-    Streams carry timestamps only, unless ``truth`` is set: then
-    photon-origin tags also carry truth annotations (pair id, emitted
-    detuning, true emission time) and dark counts carry none. Timestamps
-    do not depend on ``truth``. Fully reproducible from ``config.seed``.
-    """
+def _simulate_chunk(config: SimConfig, chunk: int, parts: dict, truth: bool) -> None:
+    """Append one canonical chunk's column dicts to ``parts``, per channel."""
     src, ch, det, basis = config.source, config.channel, config.detectors, config.basis
     duration_ps = config.duration_ps
-    n_chunks = max(1, math.ceil(duration_ps / CHUNK_PS))
-
+    start = chunk * CHUNK_PS
     p_route = 0.5  # fair coupler
     surv = {
         Channel.T1: ch.alice_transmission * det[Channel.T1].efficiency,
@@ -363,6 +376,93 @@ def simulate_session(config: SimConfig, *, truth: bool = False) -> SessionTags:
     }
     beta_res = beta_from_dispersion(ch.residual_dispersion_ps_per_nm, config.wavelength_nm)
 
+    # chunks always generate at full canonical width and truncate to the
+    # session, so a session is a prefix of one infinite seeded tape
+    width_ps = CHUNK_PS
+    rng = _chunk_rng(config.seed, chunk)
+    n_pairs = rng.poisson(src.pair_rate_hz * width_ps / PS_PER_SECOND)
+
+    # Detection decisions first: most pairs are never seen. One uniform
+    # per photon folds the 50:50 routing and the survival thinning; only
+    # the pairs with a detection are kept, in draw order.
+    c_a = _outcomes(rng, n_pairs, p_route * surv[Channel.T1], p_route * surv[Channel.F1])
+    c_b = _outcomes(rng, n_pairs, p_route * surv[Channel.T2], p_route * surv[Channel.F2])
+    kept = np.flatnonzero(np.logical_or(c_a, c_b))  # nonzero is 5x faster on bool
+    c_a, c_b, k = c_a[kept], c_b[kept], kept.size
+    del kept
+
+    emit = start + rng.random(k) * width_ps
+    omega_a = (rng.normal(0.0, src.spectral_sigma_rad_s, k)
+               if src.spectral_sigma_rad_s else np.zeros(k))
+    omega_b = -omega_a
+    if src.correlation_break_sigma_rad_s:
+        omega_b = omega_b + rng.normal(0.0, src.correlation_break_sigma_rad_s, k)
+    first_id = np.int64(chunk) << np.int64(36)
+
+    for party, c, omega, chan_t, chan_f in (
+            (Party.ALICE, c_a, omega_a, Channel.T1, Channel.F1),
+            (Party.BOB, c_b, omega_b, Channel.T2, Channel.F2)):
+        # indices into the kept pairs of this party's detections
+        idx = np.flatnonzero(c != 0)
+        if not idx.size:
+            continue
+        m = idx.size
+        t = emit[idx]
+        om_phys = omega[idx]
+        if src.correlation_time_sigma_ps:
+            t += rng.normal(0.0, src.correlation_time_sigma_ps, m)
+        if party == Party.BOB:
+            t += ch.propagation_delay_ps
+            if ch.eve_time_sigma_ps:
+                t += rng.normal(0.0, ch.eve_time_sigma_ps, m)
+            if ch.eve_freq_sigma_rad_s:
+                om_phys += rng.normal(0.0, ch.eve_freq_sigma_rad_s, m)
+            if beta_res:
+                t += beta_res * om_phys
+        in_time = c[idx] == _TIME
+        for chan, pos in ((chan_t, np.flatnonzero(in_time)),
+                          (chan_f, np.flatnonzero(~in_time))):
+            if not pos.size:
+                continue
+            tt = t[pos]
+            if chan.basis == Basis.FREQ:
+                tt += dispersive_shift(om_phys[pos], basis, party)
+            tt += rng.normal(0.0, det[chan].jitter_sigma_ps, pos.size)
+            times = np.rint(tt).astype(np.int64)
+            ok = (times >= 0) & (times < duration_ps)
+            keep = slice(None) if ok.all() else ok
+            part = dict(times=times[keep])
+            if truth:
+                pair = idx[pos][keep]
+                part.update(pair_ids=first_id + pair, detunings=omega[pair],
+                            emit_times=np.rint(emit[pair]).astype(np.int64))
+            parts[chan].append(part)
+
+    # dark counts, uniform over the chunk
+    rng_dark = _chunk_rng(config.seed, chunk, purpose=1)
+    for chan in CHANNELS:
+        rate = det[chan].dark_rate_hz
+        n_d = rng_dark.poisson(rate * width_ps / PS_PER_SECOND) if rate > 0 else 0
+        if n_d:
+            times = start + np.sort(rng_dark.integers(0, width_ps, n_d))
+            times = times[times < duration_ps].astype(np.int64)
+            part = dict(times=times)
+            if truth:
+                part.update(pair_ids=np.full(len(times), -1, np.int64),
+                            detunings=np.full(len(times), np.nan),
+                            emit_times=np.zeros(len(times), np.int64))
+            parts[chan].append(part)
+
+
+def simulate_session(config: SimConfig, *, truth: bool = False) -> SessionTags:
+    """Generate the four tag streams for one session.
+
+    Streams carry timestamps only, unless ``truth`` is set: then
+    photon-origin tags also carry truth annotations (pair id, emitted
+    detuning, true emission time) and dark counts carry none. Timestamps
+    do not depend on ``truth``. Fully reproducible from ``config.seed``.
+    """
+    duration_ps = config.duration_ps
     # per channel, a list of column dicts; the empty first part keeps the
     # column dtypes when a channel records nothing
     parts: dict[Channel, list[dict]] = {c: [dict(
@@ -370,101 +470,22 @@ def simulate_session(config: SimConfig, *, truth: bool = False) -> SessionTags:
         detunings=np.empty(0, float), emit_times=np.empty(0, np.int64))]
         for c in CHANNELS}
 
-    for chunk in range(n_chunks):
-        start = chunk * CHUNK_PS
-        if start >= duration_ps:
-            break
-        # chunks always generate at full canonical width and truncate to the
-        # session, so a session is a prefix of one infinite seeded tape
-        width_ps = CHUNK_PS
-        rng = _chunk_rng(config.seed, chunk)
-        n_pairs = rng.poisson(src.pair_rate_hz * width_ps / PS_PER_SECOND)
+    # a chunk's scratch arrays are freed before the next chunk draws
+    for chunk in range(-(-duration_ps // CHUNK_PS)):
+        _simulate_chunk(config, chunk, parts, truth)
 
-        # Detection decisions first: most pairs are never seen. One uniform
-        # per photon folds the 50:50 routing and the survival thinning; only
-        # the pairs with a detection are kept, in draw order.
-        p_t1 = p_route * surv[Channel.T1]
-        p_f1 = p_route * surv[Channel.F1]
-        p_t2 = p_route * surv[Channel.T2]
-        p_f2 = p_route * surv[Channel.F2]
-        u_a = rng.random(n_pairs)
-        u_b = rng.random(n_pairs)
-        kept = np.flatnonzero((u_a < p_t1 + p_f1) | (u_b < p_t2 + p_f2))
-        u_a, u_b = u_a[kept], u_b[kept]
-        k = kept.size
-        del kept
-
-        emit = start + rng.random(k) * width_ps
-        omega_a = (rng.normal(0.0, src.spectral_sigma_rad_s, k)
-                   if src.spectral_sigma_rad_s else np.zeros(k))
-        omega_b = -omega_a
-        if src.correlation_break_sigma_rad_s:
-            omega_b = omega_b + rng.normal(0.0, src.correlation_break_sigma_rad_s, k)
-        first_id = np.int64(chunk) << np.int64(36)
-
-        for party, u, p_time, p_freq, omega, chan_t, chan_f in (
-                (Party.ALICE, u_a, p_t1, p_f1, omega_a, Channel.T1, Channel.F1),
-                (Party.BOB, u_b, p_t2, p_f2, omega_b, Channel.T2, Channel.F2)):
-            # indices into the kept pairs of this party's detections
-            idx = np.flatnonzero(u < p_time + p_freq)
-            if not idx.size:
-                continue
-            m = idx.size
-            t = emit[idx]
-            om_phys = omega[idx]
-            if src.correlation_time_sigma_ps:
-                t += rng.normal(0.0, src.correlation_time_sigma_ps, m)
-            if party == Party.BOB:
-                t += ch.propagation_delay_ps
-                if ch.eve_time_sigma_ps:
-                    t += rng.normal(0.0, ch.eve_time_sigma_ps, m)
-                if ch.eve_freq_sigma_rad_s:
-                    om_phys += rng.normal(0.0, ch.eve_freq_sigma_rad_s, m)
-                if beta_res:
-                    t += beta_res * om_phys
-            in_time = u[idx] < p_time  # True -> detected in the time path
-            for chan, pos in ((chan_t, np.flatnonzero(in_time)),
-                              (chan_f, np.flatnonzero(~in_time))):
-                if not pos.size:
-                    continue
-                tt = t[pos]
-                if chan.basis == Basis.FREQ:
-                    tt += dispersive_shift(om_phys[pos], basis, party)
-                tt += rng.normal(0.0, det[chan].jitter_sigma_ps, pos.size)
-                times = np.rint(tt).astype(np.int64)
-                ok = (times >= 0) & (times < duration_ps)
-                keep = slice(None) if ok.all() else ok
-                part = dict(times=times[keep])
-                if truth:
-                    pair = idx[pos][keep]
-                    part.update(pair_ids=first_id + pair, detunings=omega[pair],
-                                emit_times=np.rint(emit[pair]).astype(np.int64))
-                parts[chan].append(part)
-
-        # dark counts, uniform over the chunk
-        rng_dark = _chunk_rng(config.seed, chunk, purpose=1)
-        for chan in CHANNELS:
-            rate = det[chan].dark_rate_hz
-            n_d = rng_dark.poisson(rate * width_ps / PS_PER_SECOND) if rate > 0 else 0
-            if n_d:
-                times = start + np.sort(rng_dark.integers(0, width_ps, n_d))
-                times = times[times < duration_ps].astype(np.int64)
-                part = dict(times=times)
-                if truth:
-                    part.update(pair_ids=np.full(len(times), -1, np.int64),
-                                detunings=np.full(len(times), np.nan),
-                                emit_times=np.zeros(len(times), np.int64))
-                parts[chan].append(part)
-
+    # each part's columns are dropped as they are joined, so the parts and
+    # the finished streams are never all alive at once
     streams = []
     for chan in CHANNELS:
-        times = np.concatenate([p["times"] for p in parts[chan]])
+        chan_parts = parts.pop(chan)
+        times = np.concatenate([p.pop("times") for p in chan_parts])
         columns = {}
         if truth:
             # tie order shows only in the truth columns; one column at a
             # time, so only one unsorted copy is alive at once
             times, order = _stable_sort(times)
-            columns = {k: np.concatenate([p[k] for p in parts[chan]])[order]
+            columns = {k: np.concatenate([p.pop(k) for p in chan_parts])[order]
                        for k in ("pair_ids", "detunings", "emit_times")}
         else:
             times.sort()

@@ -165,13 +165,21 @@ def test_keygen_in_and_baseline_pair_exit_code(tmp_path, nothing_read, option):
     assert main(["keygen", option, str(tmp_path), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("missing_from", ["run", "ref"])
+@pytest.mark.parametrize("missing_from", ["run", "ref", "ref-directory"])
 def test_keygen_in_missing_stream_exit_code(cli_cfg, sim_dir, ref_dir, tmp_path,
-                                            missing_from):
+                                            monkeypatch, missing_from):
     dirs = {"run": tmp_path / "run", "ref": tmp_path / "ref"}
     shutil.copytree(sim_dir, dirs["run"])
     shutil.copytree(ref_dir, dirs["ref"])
-    (dirs[missing_from] / "t2.ttag").unlink()
+    stream = dirs[missing_from.split("-")[0]] / "t2.ttag"
+    stream.unlink()
+    if missing_from.endswith("directory"):
+        stream.mkdir()
+
+    def session_work(*args):
+        raise AssertionError("the session was processed before its inputs were checked")
+
+    monkeypatch.setattr("doqkd.cli.process_session", session_work)
     assert main(["keygen", "--in", str(dirs["run"]), "--baseline", str(dirs["ref"]),
                  "--config", cli_cfg, "--out", str(tmp_path)]) == 2
 

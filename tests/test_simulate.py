@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from doqkd.errors import ConfigError
 from doqkd.simulate import (CHANNELS, ChannelModel, DetectorModel,
                             DispersiveBasis, SimConfig, SourceModel,
                             beta_from_dispersion, dispersive_shift,
-                            paper_default_config, _stable_sort,
-                            simulate_session)
+                            paper_default_config, _BLOCK, _FREQ, _TIME,
+                            _outcomes, _stable_sort, simulate_session)
 from doqkd.timetags import Channel, Party, coincidence_histogram, fwhm
 from calibration import (FWHM_PER_SIGMA, CalibrationError, CalibrationTargets,
                          calibrate, dispersion_spread_ps, jitter_sigma_for_fwhm)
@@ -224,6 +225,35 @@ class TestSimulateSession:
         assert abs(len(tags.t2) - len(ref.t2)) < 200
         h = coincidence_histogram(ref.t2, tags.t2, 2, (123_450, 123_462))
         assert h.counts.sum() > 0.9 * min(len(tags.t2), len(ref.t2))
+
+    def test_peak_memory_is_a_few_times_the_output(self):
+        # one int8 code per emitted pair; float64 columns only for detections
+        tracemalloc.start()
+        try:
+            tags = simulate_session(paper_default_config(duration_s=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * sum(tags.stream(ch).times.nbytes for ch in CHANNELS)
+
+
+class TestOutcomes:
+    @given(seed=st.integers(0, 2**64 - 1),
+           n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]),
+           p_time=st.floats(0, 1), share=st.floats(0, 1))
+    @example(seed=1, n=_BLOCK + 1, p_time=0.0, share=0.4)
+    @example(seed=2, n=_BLOCK + 1, p_time=0.3, share=0.0)
+    @example(seed=3, n=_BLOCK + 1, p_time=0.5, share=1.0)
+    @example(seed=4, n=_BLOCK + 1, p_time=0.0, share=1.0)
+    def test_matches_whole_array_draw(self, seed, n, p_time, share):
+        p_freq = share * (1 - p_time)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        codes = _outcomes(rng, n, p_time, p_freq)
+        u = ref.random(n)
+        expected = np.where(u < p_time, _TIME, np.where(u < p_time + p_freq, _FREQ, 0))
+        np.testing.assert_array_equal(codes, expected)
+        assert codes.dtype == np.int8
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestCalibrate:
