@@ -2,12 +2,16 @@
 
 Codes are built by progressive edge growth (PEG) over a mildly irregular
 variable-degree profile, deterministically from a construction seed. The
-decoder is a vectorized log-domain sum-product (flooding) run against a
-target syndrome; decoding succeeds only when the output syndrome matches
-exactly. It keeps per-edge state in check order, the layout a layered
-schedule runs over, and repeats the floating-point operations of the
-edge-order loop in ``tests/reference_decoder.py``, its test oracle, so both
-return the same bits after the same number of iterations.
+decoder is a vectorized log-domain sum-product run against a target
+syndrome; decoding succeeds only when the output syndrome matches exactly.
+Its schedule is group-layered: the checks split, in index order, into a
+few contiguous groups, and each group in turn updates its messages from
+running variable totals and adds their changes back into the totals, so
+later groups of the same iteration already see them. That takes about a
+third fewer iterations than updating every check at once (flooding). The
+decoder repeats the floating-point operations of the edge-order loop in
+``tests/reference_decoder.py``, its test oracle, so both return the same
+bits after the same number of iterations.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .errors import ReconciliationError
 
 LLR_MAX = 40.0
 _TANH_EPS = 1e-12
+_GROUPS = 4  # check groups per decoder iteration, updated in turn
 
 # node-perspective variable degree profiles per design rate; deg-2 fraction
 # stays safely below the check count to avoid error floors
@@ -41,9 +46,8 @@ class LdpcCode:
     """Sparse parity-check code in edge-list form.
 
     Also holds the check-ordered layout the decoder runs over: edges sorted
-    stably by check (``_chk_var``: the variable of each), check and variable
-    degrees and reduceat starts, and the permutations between check order
-    and stable variable order (``_to_var``, ``_to_chk``).
+    stably by check (``_chk_var``: the variable of each), check degrees and
+    reduceat starts.
     """
 
     n: int
@@ -55,19 +59,13 @@ class LdpcCode:
     def __post_init__(self):
         if self.m >= self.n:
             raise ValueError("syndrome length must be < block length")
-        self._var_deg = np.bincount(self.edge_var, minlength=self.n)
-        if self._var_deg.min() < 2:
+        if np.bincount(self.edge_var, minlength=self.n).min() < 2:
             raise ValueError("every column must have weight >= 2")
         self._chk_deg = np.bincount(self.edge_chk, minlength=self.m)
         if self._chk_deg.min() < 1:
             raise ValueError("zero-degree check row")
-        by_chk = np.argsort(self.edge_chk, kind="stable")
-        by_var = np.argsort(self.edge_var, kind="stable")
-        self._chk_var = self.edge_var[by_chk]
+        self._chk_var = self.edge_var[np.argsort(self.edge_chk, kind="stable")]
         self._chk_starts = np.cumsum(self._chk_deg) - self._chk_deg
-        self._var_starts = np.cumsum(self._var_deg) - self._var_deg
-        self._to_var = np.argsort(by_chk)[by_var]
-        self._to_chk = np.argsort(self._to_var)
 
     @property
     def rate(self) -> float:
@@ -226,7 +224,8 @@ def decode_syndrome(bits: np.ndarray, target_syndrome: np.ndarray, code: LdpcCod
 
     Operates on the error pattern: the decoder searches for e with
     H e = target ^ H bits under an iid Bernoulli(prior) model, and returns
-    (bits ^ e, iterations) on syndrome match, or (None, iterations).
+    (bits ^ e, iterations) on syndrome match, or (None, iterations). An
+    iteration is one pass over every check group.
     """
     if not 0.0 < crossover_prior < 0.5:
         raise ReconciliationError("crossover prior must be in (0, 0.5)")
@@ -235,28 +234,36 @@ def decode_syndrome(bits: np.ndarray, target_syndrome: np.ndarray, code: LdpcCod
     if not s_err.any():
         return bits.copy(), 0
 
-    # all per-edge state is in check order, except lr_var in variable order
-    cs, cdeg, vs, vdeg = code._chk_starts, code._chk_deg, code._var_starts, code._var_deg
+    # per-edge state in check order: lr holds each edge's latest check message,
+    # tot each variable's channel LLR plus the latest messages of its checks
+    cs, vars_ = code._chk_starts, code._chk_var
     # 2 on edges of checks with an even target parity, -2 on those with an odd one
-    flip = np.repeat((1.0 - 2.0 * s_err.astype(np.float64)) * 2.0, cdeg)
+    flip = np.repeat((1.0 - 2.0 * s_err.astype(np.float64)) * 2.0, code._chk_deg)
     l_ch = math.log((1.0 - crossover_prior) / crossover_prior)
-    lq = np.full(code.n_edges, l_ch)
+    tot = np.full(code.n, l_ch)
+    lr = np.zeros(code.n_edges)
+    # contiguous check groups, each a slice of the check-ordered edges
+    cut = np.arange(_GROUPS + 1) * code.m // _GROUPS
+    ends = np.append(cs, code.n_edges)
+    groups = [(slice(ends[a], ends[b]), cs[a:b] - cs[a], code._chk_deg[a:b])
+              for a, b in zip(cut[:-1], cut[1:]) if a < b]
 
     for it in range(1, max_iters + 1):
-        t = np.tanh(0.5 * np.clip(lq, -LLR_MAX, LLR_MAX))
-        log_mag = np.log(np.clip(np.abs(t), _TANH_EPS, 1.0 - _TANH_EPS))
-        neg = (t < 0).view(np.uint8)
-        # extrinsic per edge: the check's total less the edge's own term
-        ext_log = np.repeat(np.add.reduceat(log_mag, cs), cdeg) - log_mag
-        ext_odd = np.repeat(np.bitwise_xor.reduceat(neg, cs), cdeg) ^ neg
-        ext = np.clip((1.0 - 2.0 * ext_odd) * np.exp(ext_log),
-                      -1.0 + _TANH_EPS, 1.0 - _TANH_EPS)
-        lr_var = np.clip(flip * np.arctanh(ext), -LLR_MAX, LLR_MAX).take(code._to_var)
+        for sl, gs, deg in groups:
+            v = vars_[sl]
+            t = np.tanh(0.5 * np.clip(tot.take(v) - lr[sl], -LLR_MAX, LLR_MAX))
+            log_mag = np.log(np.clip(np.abs(t), _TANH_EPS, 1.0 - _TANH_EPS))
+            neg = (t < 0).view(np.uint8)
+            # extrinsic per edge: the check's total less the edge's own term
+            ext_log = np.repeat(np.add.reduceat(log_mag, gs), deg) - log_mag
+            ext_odd = np.repeat(np.bitwise_xor.reduceat(neg, gs), deg) ^ neg
+            ext = np.clip((1.0 - 2.0 * ext_odd) * np.exp(ext_log),
+                          -1.0 + _TANH_EPS, 1.0 - _TANH_EPS)
+            new = np.clip(flip[sl] * np.arctanh(ext), -LLR_MAX, LLR_MAX)
+            tot += np.bincount(v, new - lr[sl], minlength=code.n)
+            lr[sl] = new
 
-        tot_var = l_ch + np.add.reduceat(lr_var, vs)
-        lq = (np.repeat(tot_var, vdeg) - lr_var).take(code._to_chk)
-
-        e_hat = (tot_var < 0).view(np.uint8)
-        if np.array_equal(np.bitwise_xor.reduceat(e_hat.take(code._chk_var), cs), s_err):
+        e_hat = (tot < 0).view(np.uint8)
+        if np.array_equal(np.bitwise_xor.reduceat(e_hat.take(vars_), cs), s_err):
             return bits ^ e_hat, it
     return None, max_iters

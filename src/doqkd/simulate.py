@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .io import read_json, write_json
+from .ldpc import SUPPORTED_RATES
+from .postproc import VERIFICATION_HASH_BITS
 from .sifting import FrameFormat
 from .timetags import PS_PER_SECOND, Basis, Channel, Party, TagStream
 
@@ -177,10 +179,15 @@ class SimConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         for name, value in (("histogram bin_ps", self.hist_bin_ps),
                             ("histogram range_ps", self.hist_range_ps),
-                            ("block_length", self.block_length),
                             ("max_iterations", self.max_iterations)):
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value!r}")
+        # a block at the lowest rate must hold its syndrome, the hash and a key bit
+        rate = min(SUPPORTED_RATES)
+        if (self.block_length - round(self.block_length * (1.0 - rate))
+                <= VERIFICATION_HASH_BITS):
+            raise ConfigError(f"block_length {self.block_length!r} leaves no key bits: its "
+                              f"rate-{rate} syndrome and {VERIFICATION_HASH_BITS}-bit hash fill it")
         # the histograms span [-range_ps, range_ps) in whole bins
         if 2 * self.hist_range_ps % self.hist_bin_ps:
             raise ConfigError(f"histogram range 2 * {self.hist_range_ps} ps is not "

@@ -338,6 +338,9 @@ def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
     # 2 * 3845 ps is not a whole number of the default 30 ps bins
     ("histogram.range_ps", 3845),
     ("reconciliation.block_length", 0), ("reconciliation.max_iterations", 0),
+    # the rate-0.5 syndrome plus the 64-bit hash leaves no key bits
+    ("reconciliation.block_length", 1), ("reconciliation.block_length", 8),
+    ("reconciliation.block_length", 128),
     ("reconciliation.min_overhead", 0), ("reconciliation.min_overhead", -1),
 ])
 def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):

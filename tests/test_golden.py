@@ -6,9 +6,10 @@ unchanged: the canonical session report and the key material of
 CLI ``simulate`` (streams and truth side files), ``analyze`` and
 ``secure``, the four raw streams of
 ``simulate_session``, truth columns included, and the edge lists of the
-LDPC codes. A change that alters the random stream on
-purpose (simulator or code construction) updates these digests and says
-why in CHANGES.md; any other change must keep them byte-identical.
+LDPC codes. A change that alters the random stream or the decoded blocks
+on purpose (the simulator, the code construction or the decoder's
+schedule) updates these digests and says why in CHANGES.md; any other
+change must keep them byte-identical.
 
 A mismatch prints the observed digests of the failing case.
 """
@@ -151,15 +152,15 @@ GOLDEN = {
     },
     "format_5_2_120": {
         "report":
-            "dd164e2668413984cd502ab81ec24f1bbf3b311cedf535d809fc56210ed9dcea",
+            "9f863b302dea5675fbf143f584def209f2ff325b20311348f97f8f4bd760f29b",
         "secret_key":
-            "e7944f7f298fcb1f44f9df225277147184c670a07a72ad6d77f2e36df365fd50",
+            "df3281d5454be9bc9247e3c27c6954f3c215c2385991d0e8f765dfa4d177bdb5",
         "raw_key_a":
             "907aafb7a1bd5579325ca6b50d8611004345d963f7b289b554b8c79cfc9ce5f4",
         "raw_key_b":
             "cde4fc0fabac7bf6b9f1fba098f7c60c5f5afca0f02d9a7317f60b369b3aa90a",
         "reconciled_key":
-            "c43e050d200697fe0b2f4f9592600d37672315a352d25bed28af8234b619f53e",
+            "164e2b13d41b38a2b290c461e1ad2629f658e1afece494d6b3af7b5b23f11b1a",
     },
     "delay": {
         "report":

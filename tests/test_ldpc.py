@@ -165,9 +165,19 @@ class TestDecode:
              errors=128, max_iters=5, shuffle=False)  # fails at max_iters
     @example(n=2048, rate=0.7, code_seed=1, block_seed=7, prior=0.03,
              errors=61, max_iters=60, shuffle=False)
-    # adjacent priors at which the iteration count steps (3 to 4, 4 to 5):
+    # adjacent priors at which the iteration count steps (4 to 5, 5 to 4):
     # the outcome there turns on the rounding of every sum, so it tells
-    # apart two decoders that add a check's edges in different orders
+    # apart two decoders that add in different orders, the first a
+    # variable's changes within a group, the second a check's edges
+    @example(n=272, rate=0.75, code_seed=4264295185, block_seed=807028964,
+             prior=0.04339607920622349, errors=8, max_iters=60, shuffle=False)
+    @example(n=272, rate=0.75, code_seed=4264295185, block_seed=807028964,
+             prior=0.043396079206223494, errors=8, max_iters=60, shuffle=False)
+    @example(n=142, rate=0.65, code_seed=1117377922, block_seed=644512513,
+             prior=0.03957439301147302, errors=6, max_iters=60, shuffle=False)
+    @example(n=142, rate=0.65, code_seed=1117377922, block_seed=644512513,
+             prior=0.03957439301147303, errors=6, max_iters=60, shuffle=False)
+    # the same for the flooding schedule that preceded it (3 to 4, 4 to 5)
     @example(n=273, rate=0.65, code_seed=394775965, block_seed=1438311637,
              prior=0.07641675231443497, errors=5, max_iters=60, shuffle=False)
     @example(n=273, rate=0.65, code_seed=394775965, block_seed=1438311637,
@@ -204,6 +214,25 @@ class TestDecode:
             np.testing.assert_array_equal(got, want)
         if not errors:
             assert got_it == 0
+
+    def test_layered_verifies_no_fewer_blocks(self):
+        # seeded binary symmetric channel: 200 blocks of 2,048 bits per
+        # (rate, bit error rate); the floors are the verified counts of the
+        # flooding schedule that preceded the layered one, measured with
+        # this generator
+        floors = {(0.625, 0.05): 184, (0.70, 0.034): 193,
+                  (0.75, 0.027): 186, (0.80, 0.021): 161}
+        verified = {}
+        for rate, p in floors:
+            code = make_code(2048, rate)
+            rng = np.random.default_rng(2048)
+            verified[rate, p] = 0
+            for _ in range(200):
+                x = rng.integers(0, 2, code.n).astype(np.uint8)
+                y = x ^ (rng.random(code.n) < p).astype(np.uint8)
+                dec, _ = decode_syndrome(y, syndrome(x, code), code, p)
+                verified[rate, p] += dec is not None and np.array_equal(dec, x)
+        assert all(verified[case] >= floor for case, floor in floors.items()), verified
 
 
 def test_supported_rates_cover_spec_set():

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from doqkd.errors import ReconciliationError
-from doqkd.ldpc import make_code, syndrome
+from doqkd.errors import ConfigError, ReconciliationError
+from doqkd.ldpc import SUPPORTED_RATES, make_code, syndrome
 from doqkd.postproc import (ReconciliationOutcome, binary_entropy, efficiency,
                             gray_encode_symbols, privacy_amplify, reconcile,
                             reconcile_key, secret_length, select_rate,
                             verification_hash)
+from doqkd.simulate import paper_default_config
 
 
 def gray_decode_bits(bits: np.ndarray, n_bits: int) -> np.ndarray:
@@ -121,6 +123,28 @@ class TestReconcile:
         per_block = int(round((1 - out.code_rate) * n)) + 64
         assert out.disclosed_bits_total == 3 * per_block
         assert out.efficiency_beta <= 1.0
+
+    @pytest.mark.parametrize("rate", SUPPORTED_RATES)
+    def test_reconcile_key_at_smallest_accepted_block(self, rate):
+        cfg = paper_default_config()
+
+        def accepted(n):
+            try:
+                dataclasses.replace(cfg, block_length=n)
+            except ConfigError:
+                return False
+            return True
+
+        n = next(n for n in range(1, 1024) if accepted(n))
+        rng = np.random.default_rng(4)
+        alice = rng.integers(0, 2, 20 * n).astype(np.uint8)
+        bob = alice ^ (rng.random(alice.size) < 0.01).astype(np.uint8)
+        ber = np.count_nonzero(alice != bob) / alice.size
+        # the overhead at which select_rate just picks this rate
+        overhead = (1.0 - rate) / binary_entropy(ber) * (1.0 - 1e-9)
+        out = reconcile_key(alice, bob, block_length=n, min_overhead=overhead)
+        assert out.code_rate == rate and out.n_blocks == 20
+        assert 0.0 < out.efficiency_beta <= 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ReconciliationError):
