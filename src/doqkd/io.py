@@ -6,7 +6,8 @@ i64 timestamp in ps. A file holds the records of one channel. Truth-annotated
 files get a ``.truth`` side file with one 24-byte record per main record:
 u64 pair id, f64 detuning (rad/s), i64 true emission time (ps). Records
 without truth carry pair id 0xFFFFFFFFFFFFFFFF and NaN detuning in the side
-file.
+file. The side file and the flags are written for outside tools; reading
+takes the channel and the timestamps only.
 """
 from __future__ import annotations
 
@@ -46,53 +47,39 @@ def write_ttag(path: str | Path, stream: TagStream) -> None:
 
 
 def read_ttag(path: str | Path, duration_ps: int | None = None) -> TagStream:
-    """Read a ttag-v1 file (and its side file, if present) into one stream.
+    """Read a ttag-v1 file into one stream of timestamps, without truth.
 
-    The result is sorted by timestamp; the file itself need not be. Records
-    of more than one channel, negative timestamps, timestamps at or after
-    ``duration_ps``, or a file that cannot be read raise ConfigError. An
-    empty file gives a stream without a channel.
+    Flags and any ``.truth`` side file are ignored. The result is sorted by
+    timestamp; the file itself need not be. Records of more than one
+    channel, negative timestamps, timestamps at or after ``duration_ps``, or
+    a file that cannot be read raise ConfigError. An empty file gives a
+    stream without a channel.
     """
-    tp = truth_path(path)
     try:
         raw = Path(path).read_bytes()
-        side_raw = tp.read_bytes() if tp.exists() else None
     except OSError as e:
         raise ConfigError(f"cannot read {e.filename}: {e.strerror}") from e
     if len(raw) % TTAG_DTYPE.itemsize:
         raise ConfigError(f"{path}: truncated ttag-v1 file")
     rec = np.frombuffer(raw, TTAG_DTYPE)
-    times = rec["timestamp"].astype(np.int64)
     chans = rec["channel"]
     if chans.size and chans.max() > 3:
         raise ConfigError(f"{path}: channel code out of range")
     if chans.size and chans.min() != chans.max():
         raise ConfigError(f"{path}: records of several channels "
                           "(a ttag-v1 file holds one)")
-
-    truth = {}
-    if side_raw is not None:
-        if len(side_raw) % TRUTH_DTYPE.itemsize:
-            raise ConfigError(f"{tp}: truncated side file")
-        side = np.frombuffer(side_raw, TRUTH_DTYPE)
-        if len(side) != len(rec):
-            raise ConfigError(f"{tp}: side file record count mismatch")
-        pid = side["pair_id"].view(np.int64).copy()
-        pid[rec["flags"] & 1 == 0] = -1
-        truth = dict(pair_ids=pid,
-                     detunings=side["detuning"].astype(np.float64),
-                     emit_times=side["emit_time"].astype(np.int64))
+    times = rec["timestamp"].astype(np.int64)
     if times.size and times.min() < 0:
         raise ConfigError(f"{path}: negative timestamp")
-    order = np.argsort(times, kind="stable")
-    times = times[order]
+    # timsort: a file that write_ttag wrote is one sorted run
+    times.sort(kind="stable")
     if duration_ps is None:
         duration_ps = int(times[-1]) + 1 if len(times) else 0
     elif times.size and times[-1] >= duration_ps:
         raise ConfigError(f"{path}: timestamp {times[-1]} ps is at or after the "
                           f"session's end, {duration_ps} ps")
     return TagStream(times, Channel(int(chans[0])) if chans.size else None,
-                     duration_ps, **{k: v[order] for k, v in truth.items()})
+                     duration_ps)
 
 
 def canonical_json(obj) -> str:

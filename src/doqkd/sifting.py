@@ -30,6 +30,10 @@ class FrameFormat:
     def __post_init__(self):
         if self.n_bits < 1 or self.bins_per_slot < 1 or self.bin_width_ps < 1:
             raise ValueError("need n_bits >= 1, bins_per_slot >= 1, bin_width_ps >= 1")
+        # Bob's bin numbers cross the channel as sift-v1's u8 field
+        if self.bins_per_slot > 256:
+            raise ConfigError(f"bins_per_slot {self.bins_per_slot} is above 256, "
+                              "the most a sift-v1 bin number can tell apart")
         # frame numbers and offsets are int64 arithmetic on int64 timestamps;
         # n_bits is tested first so a huge one never builds a huge integer
         if self.n_bits >= 63 or self.frame_width_ps > np.iinfo(np.int64).max:

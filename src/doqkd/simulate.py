@@ -37,6 +37,7 @@ CHUNK_PS = 250_000_000_000  # canonical generation chunk: 0.25 s
 CHANNELS = (Channel.T1, Channel.F1, Channel.T2, Channel.F2)
 
 _BLOCK = 1 << 16  # uniforms per draw: a 512 KiB buffer that stays in cache
+_MAX_HIST_BINS = 1 << 20  # 2 * range_ps / bin_ps: 8 MiB of int64 counts
 _FREQ, _TIME = 1, 2  # outcome codes; 0 is a photon that is not detected
 
 
@@ -192,6 +193,10 @@ class SimConfig:
         if 2 * self.hist_range_ps % self.hist_bin_ps:
             raise ConfigError(f"histogram range 2 * {self.hist_range_ps} ps is not "
                               f"a whole number of {self.hist_bin_ps} ps bins")
+        # bounds the counts arrays before anything is read or simulated
+        if 2 * self.hist_range_ps // self.hist_bin_ps > _MAX_HIST_BINS:
+            raise ConfigError(f"histogram range 2 * {self.hist_range_ps} ps holds more "
+                              f"than {_MAX_HIST_BINS} bins of {self.hist_bin_ps} ps")
         if not self.min_overhead > 0:
             raise ConfigError(f"min_overhead must be > 0, got {self.min_overhead!r}")
         if set(self.detectors) != set(CHANNELS):

@@ -52,6 +52,8 @@ def test_analyze(sim_dir, tmp_path):
     ("--bin", "-5"), ("--bin", "0"), ("--range", "0"), ("--range", "-30"),
     # 2 * 7 ps is not a whole number of 30 ps bins, nor 7680 ps of 7 ps bins
     ("--range", "7"), ("--bin", "7"),
+    # 2.56e17 bins of 30 ps: counts no machine can allocate
+    ("--range", "3840000000000000000"),
 ])
 def test_analyze_bad_bins_exit_code(sim_dir, tmp_path, monkeypatch, option,
                                     value):
@@ -291,6 +293,9 @@ def test_sweep_and_optimize(cli_cfg, tmp_path):
     # frames of 2**70 slots are wider than int64
     ("sweep", "--n-list", "70"),
     ("optimize", "--n-list", "4,70"),
+    # bin numbers above 255 do not fit sift-v1's u8 field
+    ("sweep", "--i-list", "3,257"),
+    ("optimize", "--i-list", "300"),
 ])
 def test_bad_grid_or_cap_exit_code(tmp_path, monkeypatch, command, option, value):
     cfg = paper_default_config()
@@ -337,6 +342,10 @@ def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
     ("seed", -1), ("histogram.bin_ps", 0), ("histogram.range_ps", 0),
     # 2 * 3845 ps is not a whole number of the default 30 ps bins
     ("histogram.range_ps", 3845),
+    # 2.56e17 bins of 30 ps: counts no machine can allocate
+    ("histogram.range_ps", 3840000000000000000),
+    # bin numbers above 255 do not fit sift-v1's u8 field
+    ("format.bins_per_slot", 257),
     ("reconciliation.block_length", 0), ("reconciliation.max_iterations", 0),
     # the rate-0.5 syndrome plus the 64-bit hash leaves no key bits
     ("reconciliation.block_length", 1), ("reconciliation.block_length", 8),
@@ -355,6 +364,16 @@ def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):
     monkeypatch.setattr("doqkd.session.simulate_session", None)
     assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["sift", "--in", "run", "--format", "2,300,10"],
+    ["sift", "--in", "run", "--format", "2,3,10", "--format-b", "2,300,10"],
+    ["keygen", "--format", "2,257,10"],
+], ids=" ".join)
+def test_format_bins_beyond_sift_v1_exit_code(tmp_path, nothing_read, command):
+    command = [str(tmp_path) if arg == "run" else arg for arg in command]
+    assert main([*command, "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("option, value", [

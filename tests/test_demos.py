@@ -1,8 +1,9 @@
 """The scripts in ``demos/`` reach ``doqkd`` only through names that exist.
 
-No test runs the demos (each simulates seconds of data), so these checks
-parse them instead: every ``dq.<name>`` and every ``from doqkd... import
-<name>`` must resolve against the package.
+The tests do not run the demos (each simulates seconds of data; the CI
+workflow runs them in a step of its own), so these checks parse them
+instead: every ``dq.<name>`` and every ``from doqkd... import <name>`` must
+resolve against the package.
 """
 import ast
 import importlib

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doqkd.errors import ConfigError
-from doqkd.io import TTAG_DTYPE, read_ttag, truth_path, write_ttag
+from doqkd.io import TRUTH_DTYPE, TTAG_DTYPE, read_ttag, truth_path, write_ttag
 from doqkd.timetags import Channel, TagStream
 
 
@@ -34,17 +35,31 @@ def test_ttag_roundtrip_plain(tmp_path):
     assert not back.has_truth()
 
 
+def assert_written_truth(p, s):
+    """The flags and the side file that write_ttag wrote for ``s`` at ``p``
+    hold its truth: flag bit 0 and a pair id where it has one, pair id
+    0xFFFFFFFFFFFFFFFF, NaN detuning and emission time 0 where it has none."""
+    rec = np.frombuffer(p.read_bytes(), TTAG_DTYPE)
+    side = np.frombuffer(truth_path(p).read_bytes(), TRUTH_DTYPE)
+    has = s.pair_ids >= 0
+    np.testing.assert_array_equal(rec["flags"], has)
+    np.testing.assert_array_equal(side["pair_id"].view(np.int64),
+                                  np.where(has, s.pair_ids, -1))
+    np.testing.assert_array_equal(side["detuning"], np.where(has, s.detunings, np.nan))
+    np.testing.assert_array_equal(side["emit_time"], np.where(has, s.emit_times, 0))
+
+
 def test_ttag_roundtrip_truth(tmp_path):
     s = truth_stream()
     p = tmp_path / "x.ttag"
     write_ttag(p, s)
     assert truth_path(p).stat().st_size == len(s) * 24
+    assert_written_truth(p, s)
+    # reading takes the timestamps only
     back = read_ttag(p, duration_ps=s.duration_ps)
-    np.testing.assert_array_equal(back.pair_ids, s.pair_ids)
-    np.testing.assert_array_equal(back.emit_times[back.pair_ids >= 0],
-                                  s.emit_times[s.pair_ids >= 0])
-    ok = back.pair_ids >= 0
-    np.testing.assert_allclose(back.detunings[ok], s.detunings[ok])
+    assert (back.channel, back.duration_ps) == (s.channel, s.duration_ps)
+    np.testing.assert_array_equal(back.times, s.times)
+    assert not back.has_truth()
 
 
 def test_ttag_mixed_channels_rejected(tmp_path):
@@ -89,30 +104,54 @@ def test_ttag_timestamp_at_session_end_rejected(tmp_path):
         read_ttag(p, duration_ps=99)
 
 
-def test_ttag_side_file_unreadable(tmp_path):
+def assert_side_file_ignored(tmp_path, replace_side):
+    """Whatever ``replace_side(side_path, side_bytes)`` leaves beside a
+    truth-annotated file, read_ttag returns what it returns without it."""
+    s = truth_stream(100)
     p = tmp_path / "x.ttag"
-    write_ttag(p, TagStream(np.array([1, 2]), Channel.T1, 10))
-    truth_path(p).mkdir()
-    with pytest.raises(ConfigError, match="cannot read"):
-        read_ttag(p)
+    write_ttag(p, s)
+    side = truth_path(p).read_bytes()
+    truth_path(p).unlink()
+    alone = read_ttag(p)
+    replace_side(truth_path(p), side)
+    back = read_ttag(p)
+    for stream in (alone, back):
+        assert (stream.channel, stream.duration_ps) == (s.channel, int(s.times[-1]) + 1)
+        np.testing.assert_array_equal(stream.times, s.times)
+        assert not stream.has_truth()
+
+
+def test_ttag_side_file_valid_ignored(tmp_path):
+    assert_side_file_ignored(tmp_path, lambda tp, side: tp.write_bytes(side))
+
+
+def test_ttag_side_file_unreadable(tmp_path):
+    # a directory in the side file's place
+    assert_side_file_ignored(tmp_path, lambda tp, side: tp.mkdir())
 
 
 def test_ttag_side_count_mismatch(tmp_path):
-    s = truth_stream(100)
-    p = tmp_path / "x.ttag"
-    write_ttag(p, s)
-    truth_path(p).write_bytes(truth_path(p).read_bytes()[:-24])
-    with pytest.raises(ConfigError):
-        read_ttag(p)
+    assert_side_file_ignored(tmp_path, lambda tp, side: tp.write_bytes(side[:-24]))
 
 
 def test_ttag_side_file_truncated(tmp_path):
-    s = truth_stream(100)
+    assert_side_file_ignored(tmp_path, lambda tp, side: tp.write_bytes(side[:-5]))
+
+
+def test_ttag_read_peak_memory(tmp_path):
+    # the file's bytes (10 B a tag), the int64 copy (8 B) and TagStream's
+    # sortedness check (9 B) come to 3.4x the timestamps; the side file
+    # (24 B a tag) and columns built from it would be far more
+    s = truth_stream(200_000)
     p = tmp_path / "x.ttag"
     write_ttag(p, s)
-    truth_path(p).write_bytes(truth_path(p).read_bytes()[:-5])
-    with pytest.raises(ConfigError, match="truncated side file"):
-        read_ttag(p)
+    tracemalloc.start()
+    try:
+        back = read_ttag(p, s.duration_ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * back.times.nbytes
 
 
 @st.composite
@@ -137,20 +176,31 @@ def ttag_files(draw):
     return main, side
 
 
+def read_or_config_error(p):
+    """(channel, duration, times, has truth) of read_ttag(p), or None on
+    ConfigError; any other exception propagates."""
+    try:
+        back = read_ttag(p)
+    except ConfigError:
+        return None
+    return back.channel, back.duration_ps, back.times.tolist(), back.has_truth()
+
+
 @given(files=ttag_files())
 def test_ttag_bytes_parse_or_config_error(files):
     main, side = files
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "x.ttag"
         p.write_bytes(main)
+        alone = read_or_config_error(p)
         if side is not None:
             truth_path(p).write_bytes(side)
-        try:
-            back = read_ttag(p)
-        except ConfigError:
-            return
-    assert len(back) * TTAG_DTYPE.itemsize == len(main)
-    assert back.has_truth() == (side is not None)
+        back = read_or_config_error(p)
+    # a side file, whatever its bytes, changes nothing
+    assert back == alone
+    if back is not None:
+        assert back[2] == sorted(np.frombuffer(main, TTAG_DTYPE)["timestamp"].tolist())
+        assert not back[3]
 
 
 @st.composite
@@ -178,8 +228,12 @@ def test_ttag_write_read_identity(s):
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "x.ttag"
         write_ttag(p, s)
+        if s.has_truth():
+            assert_written_truth(p, s)
+        else:
+            assert not truth_path(p).exists()
         back = read_ttag(p, s.duration_ps)
     assert (back.channel, back.duration_ps) == (s.channel, s.duration_ps)
-    for col in ("times", "pair_ids", "detunings", "emit_times"):
-        np.testing.assert_array_equal(getattr(back, col), getattr(s, col))
+    np.testing.assert_array_equal(back.times, s.times)
+    assert not back.has_truth()
 

@@ -57,6 +57,12 @@ class TestFrameFormat:
         with pytest.raises(ValueError):
             FrameFormat(n, i, tau)
 
+    @pytest.mark.parametrize("i", [257, 300, 2**40])
+    def test_bins_beyond_sift_v1_rejected(self, i):
+        # Bob's bin numbers go on the wire as u8
+        with pytest.raises(ConfigError, match="256"):
+            FrameFormat(2, i, 10)
+
 
 class TestAssignAddress:
     def test_zero(self):
@@ -327,6 +333,21 @@ class TestPackedKeysAndTranscript:
         assert back.to_bytes() == raw
         assert [(m.sender, m.msg_type) for m in back.messages] == \
             [(m.sender, m.msg_type) for m in res.transcript.messages]
+
+    def test_widest_bins_roundtrip(self):
+        # I = 256: bin 255 is the largest a sift-v1 BINS record carries
+        fmt = FrameFormat(2, 256, 10)
+        bins = np.array([0, 1, 128, 254, 255])
+        times = (np.arange(bins.size) * fmt.frame_width_ps + fmt.slot_width_ps
+                 + bins * fmt.bin_width_ps + 3)
+        duration = bins.size * fmt.frame_width_ps
+        res = run_sifting(tstream(times, duration=duration),
+                          tstream(times, Channel.T2, duration=duration), fmt)
+        assert res.kept_frames == bins.size
+        assert res.key_b.tolist() == [1] * bins.size
+        back = Transcript.from_bytes(res.transcript.to_bytes())
+        for t in (res.transcript, back):
+            assert t.messages[1].bins.tolist() == bins.tolist()
 
     @pytest.mark.parametrize("cut", [3, 9])
     def test_truncated_transcript_rejected(self, cut):
