@@ -3,8 +3,9 @@
 Each case pins the SHA-256 of outputs that a pure refactor must leave
 unchanged: the canonical session report and the key material of
 ``run_experiment``, the CSV of a small ``sweep``, the files written by
-CLI ``simulate`` (streams and truth side files), ``analyze`` and
-``secure``, the four raw streams of
+CLI ``simulate`` (streams and truth side files), ``analyze``, ``secure``
+and ``sift`` (keys, sift-v1 transcript and statistics at two formats), the
+four raw streams of
 ``simulate_session``, truth columns included, and the edge lists of the
 LDPC codes. A change that alters the random stream or the decoded blocks
 on purpose (the simulator, the code construction or the decoder's
@@ -68,9 +69,9 @@ def sweep_digests() -> dict:
     return {"csv": sha(table.to_csv().encode())}
 
 
-def cli_digests(tmp) -> tuple[dict, dict]:
-    """Digests of the ``analyze``/``secure`` outputs and of the files
-    ``simulate`` writes for the session."""
+def cli_digests(tmp) -> tuple[dict, dict, dict]:
+    """Digests of the ``analyze``/``secure`` outputs, of the files
+    ``simulate`` writes for the session, and of the ``sift`` outputs."""
     cfg = short_config(31, duration_s=0.1)
     base = cfg.baseline_config()
     paths = {}
@@ -91,7 +92,15 @@ def cli_digests(tmp) -> tuple[dict, dict]:
     recorded = {name: sha((paths["run"] / name).read_bytes())
                 for ch in ("t1", "f1", "t2", "f2")
                 for name in (f"{ch}.ttag", f"{ch}.ttag.truth")}
-    return outputs, recorded
+    sifted = {}
+    for fmt in ("4,3,160", "2,256,10"):
+        d = tmp / f"sift_{fmt}"
+        assert main(["sift", "--in", str(paths["run"]), "--format", fmt,
+                     "--out", str(d)]) == 0
+        sifted.update({f"{fmt}/{name}": sha((d / name).read_bytes())
+                       for name in ("transcript.bin", "key_a.bin", "key_b.bin",
+                                    "sift.json")})
+    return outputs, recorded, sifted
 
 
 def simulate_config(name: str):
@@ -204,6 +213,24 @@ GOLDEN = {
         "f2.ttag.truth":
             "9a9d6444410a4b6d4abe6093a4a6314f422771ce97a3e1b44e35d31e1879e6df",
     },
+    "cli_sift": {
+        "4,3,160/transcript.bin":
+            "5aa03ca979b1a5b17b9f5248df28253b716d4f65fb191a1b938cc486cb5aa483",
+        "4,3,160/key_a.bin":
+            "c8541f23ff4de7863f59a96f2e95ca7b803119a263aaad70f0a80e92b2ed8b04",
+        "4,3,160/key_b.bin":
+            "86d435006c5d39a801a7acaf51b6067bc1793640fe2867235c5a5a201c66b251",
+        "4,3,160/sift.json":
+            "95bc06eefb775f0ac20d70794a59ac3b68b01f7270ebb567dba3b1d567eac7e9",
+        "2,256,10/transcript.bin":
+            "86ad629e7333527a9acf715a74c12e2127623d6343836717fc72856379316909",
+        "2,256,10/key_a.bin":
+            "ef9da9eac0678aa0adfb168a5f7f405794a489f393d4f37d497cd1a9efe2909a",
+        "2,256,10/key_b.bin":
+            "593823a93f709d5b2c05edb273e9659afb008ffc26a8d2d01b26cb02d925e2b8",
+        "2,256,10/sift.json":
+            "7c2641971700bc5b2f2480a90aef11007392a364a910816022757066387716d1",
+    },
     "simulate_branches": {
         "T1_ties": 0,
         "T1": "bba55ace17c4b545bcf4a08284f08c576884a737f6893ce9e6e4bc9828ba5956",
@@ -266,9 +293,10 @@ def test_sweep():
 
 
 def test_cli(tmp_path):
-    outputs, recorded = cli_digests(tmp_path)
+    outputs, recorded, sifted = cli_digests(tmp_path)
     check("cli", outputs)
     check("cli_simulate", recorded)
+    check("cli_sift", sifted)
 
 
 @pytest.mark.parametrize("name", ["branches", "ties"])
