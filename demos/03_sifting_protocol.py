@@ -32,8 +32,10 @@ print(f"raw rate:               {fmt.n_bits * res.kept_frames / cfg.duration_s /
 print(f"symbol QBER:            {100 * q:.2f} %")
 
 print("\ntranscript messages (type, count):")
-for m in res.transcript.messages:
-    print(f"  {m.sender.name:5s} -> {m.msg_type.name:6s} x {m.count}")
-print(f"serialized transcript: {len(res.transcript.to_bytes())} bytes")
+for sender, kind, frames in (("ALICE", "FRAMES", res.frames_a),
+                             ("BOB", "BINS", res.common_frames),
+                             ("ALICE", "FRAMES", res.agreed_frames)):
+    print(f"  {sender:5s} -> {kind:6s} x {frames.size}")
+print(f"serialized transcript: {len(res.transcript_bytes())} bytes")
 print("packed key (first 16 bytes):",
       dq.pack_symbols(res.key_a, fmt.n_bits)[:16].hex())

@@ -120,7 +120,7 @@ def cmd_sift(args, out: Path) -> int:
     result = run_sifting(t1, t2, fmt, fmt_b)
     (out / "key_a.bin").write_bytes(pack_symbols(result.key_a, fmt.n_bits))
     (out / "key_b.bin").write_bytes(pack_symbols(result.key_b, fmt.n_bits))
-    (out / "transcript.bin").write_bytes(result.transcript.to_bytes())
+    (out / "transcript.bin").write_bytes(result.transcript_bytes())
     stats = {"kept_frames": result.kept_frames,
              "discarded_bin_mismatch": result.discarded_bin_mismatch,
              "discarded_multi_event": result.discarded_multi_event,

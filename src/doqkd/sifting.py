@@ -4,19 +4,20 @@ A frame holds 2**N slots of I bins each, bin width tau ps. The slot index of
 a kept coincidence is the key symbol; bin indices are exchanged to reject
 jitter-smeared events; slot numbers never appear on the classical channel.
 
-The protocol transcript is an explicit message log (``sift-v1`` wire format)
-so the same state machines can later back a networked deployment.
+``run_sifting`` runs one fixed round of three messages (FRAMES, BINS,
+FRAMES) and keeps them as arrays on its ``SiftResult``;
+``SiftResult.transcript_bytes`` writes them as ``sift-v1``, which nothing
+in the package reads back.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolAbort
-from .timetags import Basis, Party, TagStream
+from .timetags import Basis, TagStream
 
 
 @dataclass(frozen=True)
@@ -144,113 +145,52 @@ def split_security_fraction(tags: TagStream, fraction: float, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# transcript
+# sifting round
 
-
-class MessageType(IntEnum):
-    FRAMES = 1
-    BINS = 2
-    ABORT = 3
-
-
+# sift-v1 message types and the BINS record: frame id and Bob's bin number
+_FRAMES, _BINS = 1, 2
 _BINS_RECORD = np.dtype([("frame", "<i8"), ("bin", "u1")])
-# payload bytes per counted record
-_RECORD_BYTES = {MessageType.FRAMES: 8, MessageType.BINS: _BINS_RECORD.itemsize,
-                 MessageType.ABORT: 0}
-# the message sequences run_sifting writes, with their senders
-_ROUNDS = {
-    (MessageType.ABORT,): (Party.BOB,),
-    (MessageType.FRAMES, MessageType.BINS, MessageType.FRAMES):
-        (Party.ALICE, Party.BOB, Party.ALICE),
-}
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: Party
-    msg_type: MessageType
-    frames: np.ndarray            # int64 frame ids
-    bins: np.ndarray | None = None  # uint8, parallel to frames (BINS only)
-
-    @property
-    def count(self) -> int:
-        return int(self.frames.size)
-
-
-@dataclass
-class Transcript:
-    """Ordered classical-channel message log (sift-v1 serializable)."""
-
-    messages: list[Message] = field(default_factory=list)
-
-    def append(self, msg: Message) -> None:
-        self.messages.append(msg)
-
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        for m in self.messages:
-            out += struct.pack("<BI", int(m.msg_type), m.count)
-            if m.msg_type == MessageType.FRAMES:
-                out += m.frames.astype("<i8").tobytes()
-            elif m.msg_type == MessageType.BINS:
-                rec = np.zeros(m.count, _BINS_RECORD)
-                rec["frame"] = m.frames
-                rec["bin"] = m.bins
-                out += rec.tobytes()
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Transcript":
-        """Parse sift-v1 bytes; malformed input, or a message sequence that
-        ``run_sifting`` cannot write, raises ConfigError."""
-        parsed = []
-        off = 0
-        while off < len(data):
-            if len(data) - off < 5:
-                raise ConfigError(f"sift-v1: truncated message header at byte {off}")
-            mtype, count = struct.unpack_from("<BI", data, off)
-            off += 5
-            if mtype not in _RECORD_BYTES:
-                raise ConfigError(f"sift-v1: unknown message type {mtype}")
-            if len(data) - off < _RECORD_BYTES[mtype] * count:
-                raise ConfigError(f"sift-v1: truncated payload at byte {off}")
-            mtype = MessageType(mtype)
-            if mtype == MessageType.FRAMES:
-                frames = np.frombuffer(data, "<i8", count, off).astype(np.int64)
-                off += 8 * count
-                parsed.append((mtype, frames, None))
-            elif mtype == MessageType.BINS:
-                rec = np.frombuffer(data, _BINS_RECORD, count, off)
-                off += _BINS_RECORD.itemsize * count
-                parsed.append((mtype, rec["frame"].astype(np.int64), rec["bin"].copy()))
-            elif count:
-                raise ConfigError(f"sift-v1: abort message with count {count}")
-            else:
-                parsed.append((mtype, np.empty(0, np.int64), None))
-        types = tuple(mtype for mtype, _, _ in parsed)
-        senders = _ROUNDS.get(types)
-        if senders is None:
-            raise ConfigError(f"sift-v1: message sequence {[t.name for t in types]} "
-                              "is not a sifting round")
-        return cls([Message(sender, *msg) for sender, msg in zip(senders, parsed)])
 
 
 @dataclass
 class SiftResult:
-    """Raw keys plus protocol bookkeeping for one sifting round; the kept
-    frames are the transcript's last message."""
+    """Raw keys of one sifting round, with the round's three messages:
+    Alice's single-event frames, the common frames with Bob's bins, and
+    the kept frames."""
 
     key_a: np.ndarray
     key_b: np.ndarray
-    kept_frames: int
-    discarded_bin_mismatch: int
+    frames_a: np.ndarray        # int64, message 1
+    common_frames: np.ndarray   # int64, message 2
+    bins_b: np.ndarray          # uint8, parallel to common_frames
+    agreed_frames: np.ndarray   # int64, message 3
     discarded_multi_event: int
-    transcript: Transcript
     fmt: FrameFormat
 
     def __post_init__(self):
         if not len(self.key_a) == len(self.key_b) == self.kept_frames:
             raise ValueError("key lengths disagree with kept_frames")
+
+    @property
+    def kept_frames(self) -> int:
+        return int(self.agreed_frames.size)
+
+    @property
+    def discarded_bin_mismatch(self) -> int:
+        return int(self.common_frames.size) - self.kept_frames
+
+    def transcript_bytes(self) -> bytes:
+        """The round as sift-v1: FRAMES, BINS, FRAMES, each a ``<BI``
+        type/count header followed by its little-endian records."""
+        rec = np.empty(self.common_frames.size, _BINS_RECORD)
+        rec["frame"] = self.common_frames
+        rec["bin"] = self.bins_b
+        return b"".join([
+            struct.pack("<BI", _FRAMES, self.frames_a.size),
+            self.frames_a.astype("<i8").tobytes(),
+            struct.pack("<BI", _BINS, rec.size), rec.tobytes(),
+            struct.pack("<BI", _FRAMES, self.agreed_frames.size),
+            self.agreed_frames.astype("<i8").tobytes()])
 
 
 def run_sifting(alice: TagStream, bob: TagStream, fmt: FrameFormat,
@@ -260,39 +200,22 @@ def run_sifting(alice: TagStream, bob: TagStream, fmt: FrameFormat,
     Message 1 (Alice): her single-event frame numbers. Message 2 (Bob): the
     frame intersection together with his bin numbers. Message 3 (Alice): the
     surviving frames where both bins agree. Key symbols are the slot numbers
-    of surviving frames, in frame order; slots are never transmitted.
+    of surviving frames, in frame order; slots are never transmitted. A Bob
+    format ``fmt_b`` other than ``fmt`` raises ProtocolAbort before sifting.
     """
     for s in (alice, bob):
         if s.basis is Basis.FREQ:
             raise ValueError("sifting takes time-basis streams only")
-    transcript = Transcript()
     if fmt_b is not None and fmt_b != fmt:
-        transcript.append(Message(Party.BOB, MessageType.ABORT, np.empty(0, np.int64)))
-        exc = ProtocolAbort(f"frame format mismatch: {fmt} vs {fmt_b}")
-        exc.transcript = transcript
-        raise exc
+        raise ProtocolAbort(f"frame format mismatch: {fmt} vs {fmt_b}")
 
     width = fmt.frame_width_ps
     fa, ta, multi_a = single_events(alice, width)
     fb, tb, multi_b = single_events(bob, width)
-
-    transcript.append(Message(Party.ALICE, MessageType.FRAMES, fa))
     common, off_a, off_b = common_offsets(fa, ta, fb, tb, width)
     bins_b, match, key_a, key_b = match_bins(off_a, off_b, fmt)
-    transcript.append(Message(Party.BOB, MessageType.BINS, common,
-                              bins_b.astype(np.uint8)))
-    kept = common[match]
-    transcript.append(Message(Party.ALICE, MessageType.FRAMES, kept))
-
-    return SiftResult(
-        key_a=key_a,
-        key_b=key_b,
-        kept_frames=int(kept.size),
-        discarded_bin_mismatch=int(np.count_nonzero(~match)),
-        discarded_multi_event=multi_a + multi_b,
-        transcript=transcript,
-        fmt=fmt,
-    )
+    return SiftResult(key_a, key_b, fa, common, bins_b.astype(np.uint8),
+                      common[match], multi_a + multi_b, fmt)
 
 
 def qber(key_a: np.ndarray, key_b: np.ndarray) -> float:

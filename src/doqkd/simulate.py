@@ -137,6 +137,15 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _check_keys(d: dict, written: dict, where: str = "") -> None:
+    """Reject a key that ``SimConfig.to_dict`` does not write at its place."""
+    for key, value in d.items():
+        if key not in written:
+            raise ConfigError(f"unknown config key: {where}{key}")
+        if isinstance(value, dict) and isinstance(written[key], dict):
+            _check_keys(value, written[key], f"{where}{key}.")
+
+
 def _section(d: dict, key: str) -> dict:
     """An optional simcfg-v1 object; absent means all its defaults."""
     value = d.get(key, {})
@@ -240,6 +249,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a simcfg-v1 config is a JSON object, not {d!r}")
+        if d.get("format_version", "simcfg-v1") != "simcfg-v1":
+            raise ConfigError(f"format_version {d['format_version']!r} is not simcfg-v1")
         try:
             source = SourceModel(
                 _real(d["pair_rate_hz"]), _real(d["spectral_sigma_rad_s"]),
@@ -269,7 +282,7 @@ class SimConfig:
             hist = _section(d, "histogram")
             rec = _section(d, "reconciliation")
             base = _section(d, "baseline").get("duration_s")
-            return cls(
+            cfg = cls(
                 source, channel, detectors, basis,
                 duration_s=_real(d["duration_s"]), seed=_integer(d["seed"]),
                 wavelength_nm=wavelength,
@@ -288,6 +301,8 @@ class SimConfig:
             raise ConfigError(f"missing config key: {e}") from e
         except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"bad config value: {e}") from e
+        _check_keys(d, cfg.to_dict())
+        return cfg
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

@@ -59,7 +59,8 @@ class TagStream:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.int64)
-        if self.times.size and np.any(np.diff(self.times) < 0):
+        # shifted views compare in one bool a tag, not an int64 difference
+        if np.any(self.times[1:] < self.times[:-1]):
             raise ValueError("tag timestamps must be sorted")
         if self.times.size and self.times[0] < 0:
             raise ValueError("timestamps must be >= 0 within a session")

@@ -1,13 +1,17 @@
 """Deliberately slow, dictionary-based reference for the sifting round.
 
 Written independently of the production implementation: plain Python loops,
-quadratic scans, no shared helpers beyond the wire format. Used to check
-byte-identical keys and transcripts.
+quadratic scans, and its own sift-v1 writer built record by record with
+``struct``. Used to check byte-identical keys and transcripts.
 """
+import struct
+
 import numpy as np
 
-from doqkd.sifting import FrameFormat, Message, MessageType, Transcript
-from doqkd.timetags import Party, TagStream
+from doqkd.sifting import FrameFormat
+from doqkd.timetags import TagStream
+
+FRAMES, BINS = 1, 2
 
 
 def _addresses(stream: TagStream, fmt: FrameFormat):
@@ -33,7 +37,8 @@ def _addresses(stream: TagStream, fmt: FrameFormat):
 
 
 def reference_sift(alice: TagStream, bob: TagStream, fmt: FrameFormat):
-    """Returns (key_a, key_b, kept_frames, transcript_bytes)."""
+    """Returns (key_a, key_b, kept_frames, transcript_bytes,
+    multi_event_frames)."""
     singles_a, multi_a = _addresses(alice, fmt)
     singles_b, multi_b = _addresses(bob, fmt)
 
@@ -41,15 +46,17 @@ def reference_sift(alice: TagStream, bob: TagStream, fmt: FrameFormat):
     common = sorted(f for f in frames_a if f in singles_b)
     kept = [f for f in common if singles_a[f][1] == singles_b[f][1]]
 
-    transcript = Transcript()
-    transcript.append(Message(Party.ALICE, MessageType.FRAMES,
-                              np.array(frames_a, np.int64)))
-    transcript.append(Message(Party.BOB, MessageType.BINS,
-                              np.array(common, np.int64),
-                              np.array([singles_b[f][1] for f in common], np.uint8)))
-    transcript.append(Message(Party.ALICE, MessageType.FRAMES,
-                              np.array(kept, np.int64)))
+    # sift-v1: per message a u8 type and u32 count, then its records
+    transcript = struct.pack("<BI", FRAMES, len(frames_a))
+    for f in frames_a:
+        transcript += struct.pack("<q", f)
+    transcript += struct.pack("<BI", BINS, len(common))
+    for f in common:
+        transcript += struct.pack("<qB", f, singles_b[f][1])
+    transcript += struct.pack("<BI", FRAMES, len(kept))
+    for f in kept:
+        transcript += struct.pack("<q", f)
 
     key_a = np.array([singles_a[f][0] for f in kept], np.int64)
     key_b = np.array([singles_b[f][0] for f in kept], np.int64)
-    return key_a, key_b, len(kept), transcript.to_bytes(), multi_a + multi_b
+    return key_a, key_b, len(kept), transcript, multi_a + multi_b

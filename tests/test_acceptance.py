@@ -192,7 +192,7 @@ def test_07_sifting_oracle_equivalence():
         assert res.kept_frames == kept, f"case {case}"
         assert pack_symbols(res.key_a, n_bits) == pack_symbols(ka, n_bits)
         assert pack_symbols(res.key_b, n_bits) == pack_symbols(kb, n_bits)
-        assert res.transcript.to_bytes() == tbytes
+        assert res.transcript_bytes() == tbytes
         assert res.discarded_multi_event == multi
     _report("7", "200 random instances byte-identical (keys and transcripts)")
 

@@ -71,10 +71,12 @@ def test_sift_and_exit_codes(sim_dir, tmp_path):
     assert stats["kept_frames"] > 0
     assert (tmp_path / "key_a.bin").exists()
     assert (tmp_path / "transcript.bin").exists()
-    # format mismatch -> protocol abort exit code
+    # format mismatch -> protocol abort exit code, before any file is written
+    aborted = tmp_path / "aborted"
     rc = main(["sift", "--in", str(sim_dir), "--format", "4,3,160",
-               "--format-b", "4,3,200", "--out", str(tmp_path)])
+               "--format-b", "4,3,200", "--out", str(aborted)])
     assert rc == 3
+    assert not any(aborted.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +353,9 @@ def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
     ("reconciliation.block_length", 1), ("reconciliation.block_length", 8),
     ("reconciliation.block_length", 128),
     ("reconciliation.min_overhead", 0), ("reconciliation.min_overhead", -1),
+    # simcfg-v1 only, and no key that the format does not define
+    ("format_version", "simcfg-v9"), ("securty_fraction", 0.5),
+    ("histogram.bin_pss", 10), ("dark_rate_hz.T5", 100.0),
 ])
 def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):
     d = paper_default_config().to_dict()

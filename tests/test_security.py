@@ -146,9 +146,10 @@ class TestMutualInformation:
             assert mutual_information(a, b, 8) <= 3.0 + 1e-9
 
     def test_shannon_info_guards(self, session25):
-        from doqkd.sifting import FrameFormat, SiftResult, Transcript
+        from doqkd.sifting import FrameFormat, SiftResult
+        frames = np.arange(10)
         small = SiftResult(np.zeros(10, np.int64), np.zeros(10, np.int64),
-                           10, 0, 0, Transcript(),
+                           frames, frames, np.zeros(10, np.uint8), frames, 0,
                            FrameFormat(2, 2, 50))
         with pytest.raises(EstimationError):
             shannon_info(small)

@@ -78,6 +78,33 @@ class TestModels:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(d)
 
+    def test_format_version(self):
+        d = copy.deepcopy(DEFAULT_DICT)
+        d["format_version"] = "simcfg-v9"
+        with pytest.raises(ConfigError, match="simcfg-v9"):
+            SimConfig.from_dict(d)
+        del d["format_version"]
+        assert SimConfig.from_dict(d).to_dict() == DEFAULT_DICT
+
+    # a misspelt key must not leave its field silently at the default
+    @pytest.mark.parametrize("path", [("securty_fraction",),
+                                      ("histogram", "bin_pss"),
+                                      ("reconciliation", "block_len"),
+                                      ("dark_rate_hz", "T5"),
+                                      ("transmission", "carol")],
+                             ids=".".join)
+    def test_unknown_key_rejected(self, path):
+        d = copy.deepcopy(DEFAULT_DICT)
+        *outer, key = path
+        (d[outer[0]] if outer else d)[key] = 10
+        with pytest.raises(ConfigError, match=".".join(path)):
+            SimConfig.from_dict(d)
+
+    @pytest.mark.parametrize("value", [[], "x", 5, None])
+    def test_non_object_rejected(self, value):
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(value)
+
     @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
     @example(field=("format",), value=[])
     @example(field=("dark_rate_hz",), value="x")

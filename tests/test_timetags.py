@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ class TestTagStream:
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
             stream([5, 1])
+
+    def test_sortedness_check_peak_memory(self):
+        # every read, select and shift builds a TagStream: its sortedness
+        # check may hold a bool a tag, not an int64 difference array
+        times = np.arange(1_000_000, dtype=np.int64) * 7
+        tracemalloc.start()
+        try:
+            TagStream(times, Channel.T1, int(times[-1]) + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * times.size
 
 
 class TestCoincidenceHistogram:
