@@ -192,7 +192,7 @@ def cmd_keygen(args, out: Path) -> int:
 
 
 def _parse_grid(text: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
-    if not text:
+    if text is None:
         return default
     try:
         grid = tuple(int(x) for x in text.split(","))

@@ -373,6 +373,14 @@ def _key_offsets(tags: SessionTags, config: SimConfig, fmt: FrameFormat
     return off_a[key], off_b[key]
 
 
+def _near(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
+    """Mask of the sorted times ``x`` strictly closer than ``width`` to some
+    sorted time in ``y``; ``x + width`` is summed in uint64, where it fits."""
+    upper = x.view(np.uint64) + np.uint64(width)
+    return (np.searchsorted(y, x - width, "right")
+            < np.searchsorted(y.view(np.uint64), upper, "left"))
+
+
 def _sweep_row(fmt: FrameFormat, off_a: np.ndarray, off_b: np.ndarray,
                chi: float | None, duration_s: float) -> SweepRow:
     """One grid point's row from the key-side offsets of its frame width."""
@@ -400,12 +408,16 @@ def sweep(config: SimConfig,
     """Re-sift one simulated dataset over the whole format grid.
 
     Tags are generated once per seed and re-split/re-sifted per grid point,
-    so curves isolate format effects from Monte-Carlo noise. Grid points
-    with equal frame width share one split, single-event and intersection
-    pass; each point then only splits the common frames' offsets into slot
-    and bin. The secret-rate column combines per-point empirical information
-    with the session-level eavesdropper bound at a nominal reconciliation
-    efficiency; it is a planning figure, not a per-point reconciliation run.
+    so curves isolate format effects from Monte-Carlo noise. T1 and T2 first
+    keep only the tags strictly closer than the grid's widest frame to a tag
+    of the other stream. That drops no tag of a frame both streams reach, and
+    keeps each stream's duration, so no kept tag's frame turns partial: the
+    rows are unchanged. Grid points with equal frame width share one split,
+    single-event and intersection pass; each point then only splits the
+    common frames' offsets into slot and bin. The secret-rate column combines
+    per-point empirical information with the session-level eavesdropper bound
+    at a nominal reconciliation efficiency; it is a planning figure, not a
+    per-point reconciliation run.
     """
     if not tau_list or not i_list or not n_list:
         raise ValueError("sweep grids must be non-empty")
@@ -423,6 +435,9 @@ def sweep(config: SimConfig,
     by_width: dict[int, list[int]] = {}
     for k, fmt in enumerate(formats):
         by_width.setdefault(fmt.frame_width_ps, []).append(k)
+    t1, t2, widest = tags.t1.times, tags.t2.times, max(by_width)
+    tags = SessionTags(tags.t1.select(_near(t1, t2, widest)), tags.f1,
+                       tags.t2.select(_near(t2, t1, widest)), tags.f2)
     rows = [None] * len(formats)
     for members in by_width.values():
         off_a, off_b = _key_offsets(tags, config, formats[members[0]])

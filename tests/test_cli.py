@@ -298,6 +298,9 @@ def test_sweep_and_optimize(cli_cfg, tmp_path):
     # bin numbers above 255 do not fit sift-v1's u8 field
     ("sweep", "--i-list", "3,257"),
     ("optimize", "--i-list", "300"),
+    # an empty grid is an error, not the default grid
+    ("sweep", "--tau-list", ""),
+    ("optimize", "--n-list", ""),
 ])
 def test_bad_grid_or_cap_exit_code(tmp_path, monkeypatch, command, option, value):
     cfg = paper_default_config()

@@ -285,6 +285,10 @@ class TestSweepKernel:
     @example(seed=3, n_a=500, n_b=500, span_ps=10**6, dur_a="span",
              dur_b="half", fraction=0.3, split=9, tau_list=[10**7, 20],
              i_list=[2], n_list=[3], chi=0.25)
+    # a frame of half of int64: the filter's width is far above every time
+    @example(seed=4, n_a=2000, n_b=2000, span_ps=10**6, dur_a="zero",
+             dur_b="zero", fraction=0.3, split=5, tau_list=[(2**63 - 1) // 2, 3],
+             i_list=[1], n_list=[1], chi=0.25)
     def test_matches_per_point_path(self, seed, n_a, n_b, span_ps, dur_a,
                                     dur_b, fraction, split, tau_list, i_list,
                                     n_list, chi):
@@ -307,6 +311,33 @@ class TestSweepKernel:
             table = sweep(cfg, tuple(tau_list), tuple(i_list), tuple(n_list),
                           tags=tags)
         assert table.rows == per_point_rows(cfg, tags, formats, chi)
+
+
+INT64_MAX = 2**63 - 1
+near_times = st.lists(st.integers(0, 50) | st.integers(INT64_MAX - 50, INT64_MAX),
+                      max_size=30).map(sorted)
+
+
+class TestNearFilter:
+    """The sweep's tag filter against an all-pairs check."""
+
+    @given(x=near_times, y=near_times,
+           width=st.integers(1, 60) | st.sampled_from([2**62, INT64_MAX - 1,
+                                                       INT64_MAX]))
+    @example(x=[], y=[], width=1)
+    @example(x=[], y=[3], width=1)
+    @example(x=[3, 4], y=[], width=INT64_MAX)
+    # ties on both sides, and width 1 keeps only equal times
+    @example(x=[5, 5, 6, 9], y=[5, 5, 7, 8], width=1)
+    # a width above the span keeps everything
+    @example(x=[0, 7, 50], y=[20], width=51)
+    # gaps of int64's full range, at and just under the width
+    @example(x=[0, INT64_MAX], y=[0, INT64_MAX], width=INT64_MAX)
+    @example(x=[0], y=[INT64_MAX], width=INT64_MAX)
+    @example(x=[1], y=[INT64_MAX], width=INT64_MAX)
+    def test_matches_all_pairs(self, x, y, width):
+        got = session._near(np.array(x, np.int64), np.array(y, np.int64), width)
+        assert got.tolist() == [any(abs(a - b) < width for b in y) for a in x]
 
 
 class TestOptimize:
