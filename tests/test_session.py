@@ -285,7 +285,7 @@ class TestSweepKernel:
     @example(seed=3, n_a=500, n_b=500, span_ps=10**6, dur_a="span",
              dur_b="half", fraction=0.3, split=9, tau_list=[10**7, 20],
              i_list=[2], n_list=[3], chi=0.25)
-    # a frame of half of int64: the filter's width is far above every time
+    # a frame nearly as wide as int64: a time plus that width wraps as int64
     @example(seed=4, n_a=2000, n_b=2000, span_ps=10**6, dur_a="zero",
              dur_b="zero", fraction=0.3, split=5, tau_list=[(2**63 - 1) // 2, 3],
              i_list=[1], n_list=[1], chi=0.25)
