@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 protocol abort, 4 no key extracted.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -98,8 +99,8 @@ def cmd_simulate(args, out: Path) -> int:
 def cmd_analyze(args, out: Path) -> int:
     cfg = _load_config(args)
     tags = SessionTags(*_read_streams(args.indir, _STREAM_FILES))
-    hists = four_basis_histograms(tags, cfg.hist_bin_ps, cfg.hist_range_ps,
-                                  tags.t1.duration_s)
+    hists = four_basis_histograms([(math.inf, tags)], cfg.hist_bin_ps,
+                                  cfg.hist_range_ps, tags.t1.duration_s)
     lines = ["# combo,offset_ps,counts"]
     for name in ("tt", "tf", "ft", "ff"):
         h = getattr(hists, name)
@@ -158,7 +159,7 @@ def cmd_keygen(args, out: Path) -> int:
     if args.indir is None:
         report = run_experiment(cfg)
     else:
-        # the baseline is read only after the session is decoded; check first
+        # the baseline is read while the session decodes; check its files first
         for name in _STREAM_FILES.values():
             if not (Path(args.baseline) / name).is_file():
                 raise ConfigError(f"no stream file {Path(args.baseline) / name}")

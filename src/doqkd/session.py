@@ -1,23 +1,26 @@
 """End-to-end session orchestration, parameter sweeps, and format optimization.
 
 The pipeline: simulate -> clock-align -> ``process_session``, which takes
-aligned tags, simulated or recorded, through the security/key split ->
-four-basis histograms from the security subset -> bin sifting of the key
-subset -> empirical information -> syndrome reconciliation on one worker
-thread, beside the baseline and the covariance analysis against it ->
-privacy amplification. Everything derives from the session seed, so
-identical configurations produce byte-identical keys and (timing aside)
-byte-identical reports, whichever of the two overlapped steps ends first.
+aligned tags, simulated or recorded, through the security/key split -> bin
+sifting of the key subset -> empirical information -> syndrome
+reconciliation on one worker thread, beside the security subset's
+histograms and the covariance analysis against the baseline -> privacy
+amplification. ``run_experiment`` simulates the baseline beside the
+session, on a worker thread, one 0.25 s window at a time. Everything
+derives from the session seed, so identical configurations produce
+byte-identical keys and (timing aside) byte-identical reports, whichever of
+the overlapped steps ends first.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,8 +35,10 @@ from .security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
 from .sifting import (FrameFormat, common_offsets, match_bins, pack_symbols,
                       qber, run_sifting, security_mask, single_events,
                       split_security_fraction)
-from .simulate import SessionTags, SimConfig, simulate_session
-from .timetags import TagStream, coincidence_histogram, effective_rates
+from .simulate import (CHANNELS, SessionTags, SimConfig, simulate_session,
+                       simulate_windows)
+from .timetags import (Channel, CoincidenceHistogram, TagStream, coincidence_histogram,
+                       effective_rates)
 
 SPLIT_SEED_SALT = 0x53504C49
 PA_SEED_SALT = 0x50414D50
@@ -66,17 +71,6 @@ def align_bob(tags: SessionTags, delay_ps: int) -> SessionTags:
     return SessionTags(tags.t1, tags.f1, unshift(tags.t2), unshift(tags.f2))
 
 
-def four_basis_histograms(tags: SessionTags, bin_ps: int, range_ps: int,
-                          acquisition_s: float) -> FourBasisHistograms:
-    rng = (-range_ps, range_ps)
-    return FourBasisHistograms(
-        tt=coincidence_histogram(tags.t1, tags.t2, bin_ps, rng, acquisition_s),
-        tf=coincidence_histogram(tags.t1, tags.f2, bin_ps, rng, acquisition_s),
-        ft=coincidence_histogram(tags.f1, tags.t2, bin_ps, rng, acquisition_s),
-        ff=coincidence_histogram(tags.f1, tags.f2, bin_ps, rng, acquisition_s),
-    )
-
-
 def histogram_summaries(hists: FourBasisHistograms) -> dict:
     """Per basis combination: FWHM, effective rate, CAR and peak offset."""
     out = {}
@@ -101,33 +95,21 @@ def split_seed(config: SimConfig) -> int:
     return config.seed ^ SPLIT_SEED_SALT
 
 
-def split_time_streams(tags: SessionTags, config: SimConfig, fmt: FrameFormat
-                       ) -> tuple[SessionTags, TagStream, TagStream]:
-    """Frame-keyed split of both time-basis streams.
-
-    Returns the security subset (split time streams with the unsplit
-    frequency streams) and the key halves of T1 and T2.
-    """
+def security_subset(tags: SessionTags, config: SimConfig, fmt: FrameFormat
+                    ) -> SessionTags:
+    """The frame-keyed security part of both time-basis streams, with the
+    unsplit frequency streams."""
     seed = split_seed(config)
-    sec_t1, key_t1 = split_security_fraction(tags.t1, config.security_fraction,
-                                             seed, fmt)
-    sec_t2, key_t2 = split_security_fraction(tags.t2, config.security_fraction,
-                                             seed, fmt)
-    return SessionTags(sec_t1, tags.f1, sec_t2, tags.f2), key_t1, key_t2
-
-
-def _estimate(sec: SessionTags, config: SimConfig
-              ) -> tuple[FourBasisHistograms, Tfcm]:
-    hists = four_basis_histograms(sec, config.hist_bin_ps, config.hist_range_ps,
-                                  config.duration_s)
-    return hists, estimate_tfcm(hists, config.basis.beta_d_ps_per_rad_s)
+    t1, t2 = (s.select(security_mask(s.times, config.security_fraction, seed, fmt))
+              for s in (tags.t1, tags.t2))
+    return SessionTags(t1, tags.f1, t2, tags.f2)
 
 
 def analyze_security(tags: SessionTags, config: SimConfig,
                      fmt: FrameFormat | None = None) -> tuple[FourBasisHistograms, Tfcm]:
     """Security-subset four-basis histograms and the covariance estimate."""
-    sec, _, _ = split_time_streams(tags, config, fmt or session_format(config))
-    return _estimate(sec, config)
+    sec = security_subset(tags, config, fmt or session_format(config))
+    return _estimate([(math.inf, sec)], config)
 
 
 def security_figures(tfcm: Tfcm, baseline: Baseline) -> tuple[float, float, float]:
@@ -137,18 +119,69 @@ def security_figures(tfcm: Tfcm, baseline: Baseline) -> tuple[float, float, floa
     return xi_t, xi_w, holevo_bound(tfcm, baseline)
 
 
+_PAIRS = {"tt": (Channel.T1, Channel.T2), "tf": (Channel.T1, Channel.F2),
+          "ft": (Channel.F1, Channel.T2), "ff": (Channel.F1, Channel.F2)}
+
+
+def four_basis_histograms(windows: Iterable[tuple[float, SessionTags]], bin_ps: int,
+                          range_ps: int, acquisition_s: float) -> FourBasisHistograms:
+    """Four-basis histograms of time-ordered windows ``(end_ps, tags)``,
+    all later tags at or after ``end_ps``. An a-tag is binned once every
+    b-tag it reaches has arrived, against the b-tags held back from as many
+    windows as that needs, so the counts are those of the joined streams."""
+    lo, hi = -range_ps, range_ps
+    counts = {name: np.zeros((hi - lo) // bin_ps, np.int64) for name in _PAIRS}
+    held = {c: np.empty(0, np.int64) for c in CHANNELS}
+    for end, tags in itertools.chain(windows, [(math.inf, None)]):
+        if tags is not None:
+            held = {c: np.concatenate([h, tags.stream(c).times]) if h.size
+                    else tags.stream(c).times for c, h in held.items()}
+        del tags
+        # a-tags (Alice's) below ``ready`` reach no later tag, and the a-tags
+        # after them no b-tag below ``ready + lo``; bounds are kept in int64
+        ready = min(end - hi, 2**63 - 1)
+        cut = {c: int(np.searchsorted(h, max(ready + (lo if c >= Channel.T2 else 0), -2**63)))
+               for c, h in held.items()}
+        for name, (a, b) in _PAIRS.items():
+            if cut[a]:
+                counts[name] += coincidence_histogram(
+                    TagStream(held[a][:cut[a]], a, 0), TagStream(held[b], b, 0),
+                    bin_ps, (lo, hi), acquisition_s).counts
+        held = {c: h[cut[c]:].copy() for c, h in held.items()}
+    return FourBasisHistograms(**{name: CoincidenceHistogram(bin_ps, lo, hi, c, acquisition_s)
+                                  for name, c in counts.items()})
+
+
+def _estimate(windows: Iterable[tuple[float, SessionTags]], config: SimConfig
+              ) -> tuple[FourBasisHistograms, Tfcm]:
+    """Histograms and covariances of a security subset's windows."""
+    hists = four_basis_histograms(windows, config.hist_bin_ps, config.hist_range_ps,
+                                  config.duration_s)
+    return hists, estimate_tfcm(hists, config.basis.beta_d_ps_per_rad_s)
+
+
+def _baseline(windows: Iterable[tuple[float, SessionTags]], config: SimConfig) -> Baseline:
+    """Covariances of ``config``'s back-to-back session from its windows, each
+    split (keyed on the frame) and binned as ``config.baseline_config()``."""
+    bcfg = config.baseline_config()
+    fmt = session_format(bcfg)
+
+    def split():  # holds no window while the next one is drawn
+        for end, tags in windows:
+            tags = [security_subset(tags, bcfg, fmt)]
+            yield end, tags.pop()
+    return Baseline(_estimate(split(), bcfg)[1])
+
+
 def baseline_from_tags(tags: SessionTags, config: SimConfig) -> Baseline:
-    """Covariances of ``config``'s back-to-back session, split and binned
-    under ``config.baseline_config()`` as that session was run."""
-    _, tfcm = analyze_security(tags, config.baseline_config())
-    return Baseline(tfcm)
+    """Covariances of ``config``'s recorded back-to-back session, split and
+    binned under ``config.baseline_config()`` as that session was run."""
+    return _baseline([(math.inf, tags)], config)
 
 
 def compute_baseline(config: SimConfig) -> Baseline:
-    """Run the back-to-back reference session and estimate its covariances."""
-    bcfg = config.baseline_config()
-    tags = align_bob(simulate_session(bcfg), bcfg.channel.propagation_delay_ps)
-    return baseline_from_tags(tags, config)
+    """Covariances of the simulated back-to-back session (no delay to remove)."""
+    return _baseline(simulate_windows(config.baseline_config()), config)
 
 
 @dataclass
@@ -208,11 +241,13 @@ def _simulate(config: SimConfig) -> SessionTags:
 
 
 def run_experiment(config: SimConfig) -> SessionReport:
-    """Simulate one session and post-process it with ``process_session``."""
+    """Simulate one session, with its baseline beside it on a worker thread,
+    and post-process it with ``process_session``."""
     t_start = time.monotonic()
-    # the tags are passed unnamed, so the call holds their only reference
-    report = process_session(_simulate(config), config,
-                             lambda: compute_baseline(config))
+    with ThreadPoolExecutor(1) as pool:
+        baseline = pool.submit(compute_baseline, config)
+        # the tags are passed unnamed, so the call holds their only reference
+        report = process_session(_simulate(config), config, baseline.result)
     report.wall_clock_s = time.monotonic() - t_start
     return report
 
@@ -221,17 +256,21 @@ def process_session(tags: SessionTags, config: SimConfig,
                     baseline: Callable[[], Baseline]) -> SessionReport:
     """Turn one session's clock-aligned tags into a key and its report.
 
-    ``baseline`` runs on the calling thread while one worker thread decodes.
-    The tags are released before it starts, so a caller that keeps no
-    reference to them lets the baseline reuse their memory.
+    After the split and sifting, one worker thread decodes while this
+    thread estimates the security subset's covariances and calls
+    ``baseline``. T1 and T2 go after the split, so a caller that keeps no
+    reference to the tags lets the later steps reuse their memory.
     """
     t_start = time.monotonic()
     fmt = session_format(config)
     singles = tags.singles_rates_hz()
 
     with _stage("security"):
-        sec, key_t1, key_t2 = split_time_streams(tags, config, fmt)
-        hists, tfcm = _estimate(sec, config)
+        seed = split_seed(config)
+        (sec_t1, key_t1), (sec_t2, key_t2) = (split_security_fraction(
+            s, config.security_fraction, seed, fmt) for s in (tags.t1, tags.t2))
+        sec = SessionTags(sec_t1, tags.f1, sec_t2, tags.f2)
+        del tags, sec_t1, sec_t2
 
     with _stage("sift"):
         sift = run_sifting(key_t1, key_t2, fmt)
@@ -250,11 +289,8 @@ def process_session(tags: SessionTags, config: SimConfig,
             mutual_information(sift.key_a, sift.key_b, fmt.slots_per_frame)
             if sift.kept_frames else 0.0)
 
-    # The baseline, the largest simulation or read of a session, runs on this
-    # thread into the memory the session's tags held, while one worker decodes
-    # beside it with only small per-block arrays. A baseline failure is
-    # reported over a decoding failure, as when the two ran in turn.
-    del tags, sec, key_t1, key_t2
+    # a security failure is reported over a decoding failure, as in turn
+    del key_t1, key_t2
     with ThreadPoolExecutor(1) as pool:
         reconciling = pool.submit(reconcile_key, a_bits, b_bits,
                                   block_length=config.block_length,
@@ -262,6 +298,8 @@ def process_session(tags: SessionTags, config: SimConfig,
                                   min_overhead=config.min_overhead,
                                   code_seed=CODE_SEED)
         with _stage("security"):
+            hists, tfcm = _estimate([(math.inf, sec)], config)
+            del sec
             reference = baseline()
             xi_t, xi_w, chi = security_figures(tfcm, reference)
             i_gauss = gaussian_time_information(tfcm, reference)

@@ -113,11 +113,14 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise over uint64 (wrapping arithmetic)."""
-    x = (x + np.uint64(_SM_GAMMA)).astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_M1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_M2)
-    return x ^ (x >> np.uint64(31))
+    """SplitMix64 finalizer over uint64 (wrapping arithmetic), in place."""
+    shifted = np.empty_like(x)
+    x += np.uint64(_SM_GAMMA)
+    for shift, mult in ((30, _SM_M1), (27, _SM_M2), (31, None)):
+        x ^= np.right_shift(x, np.uint64(shift), out=shifted)
+        if mult is not None:
+            x *= np.uint64(mult)
+    return x
 
 
 def security_mask(times: np.ndarray, fraction: float, seed: int,
@@ -130,11 +133,10 @@ def security_mask(times: np.ndarray, fraction: float, seed: int,
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    frames = (times // fmt.frame_width_ps).astype(np.int64).view(np.uint64)
     salt = _splitmix64(np.array([seed & _U64], np.uint64))[0]
-    h = _splitmix64(frames ^ salt)
-    threshold = np.uint64(int(fraction * 2.0**64))
-    return h < threshold
+    h = np.floor_divide(times, fmt.frame_width_ps, dtype=np.int64).view(np.uint64)
+    h ^= salt
+    return _splitmix64(h) < np.uint64(int(fraction * 2.0**64))
 
 
 def split_security_fraction(tags: TagStream, fraction: float, seed: int,

@@ -21,6 +21,7 @@ import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -313,13 +314,9 @@ class SimConfig:
 
     def baseline_config(self) -> "SimConfig":
         """Back-to-back reference: no channel loss, no injected noise."""
-        cfg = replace(
-            self,
-            channel=ChannelModel(1.0, 1.0, 0.0, 0, 0.0, 0.0),
-            duration_s=self.baseline_duration_s or self.duration_s,
-            seed=(self.seed ^ 0x5EEDBA5E) & 0xFFFFFFFFFFFFFFFF,
-        )
-        return cfg
+        return replace(self, channel=ChannelModel(1.0, 1.0, 0.0, 0, 0.0, 0.0),
+                       duration_s=self.baseline_duration_s or self.duration_s,
+                       seed=(self.seed ^ 0x5EEDBA5E) & 0xFFFFFFFFFFFFFFFF)
 
 
 def paper_default_config(**overrides) -> SimConfig:
@@ -341,8 +338,7 @@ class SessionTags:
     f2: TagStream
 
     def stream(self, ch: Channel) -> TagStream:
-        return {Channel.T1: self.t1, Channel.F1: self.f1,
-                Channel.T2: self.t2, Channel.F2: self.f2}[ch]
+        return getattr(self, ch.name.lower())
 
     @property
     def total_tags(self) -> int:
@@ -389,19 +385,67 @@ def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered, order
 
 
-def _simulate_chunk(config: SimConfig, chunk: int, parts: dict, truth: bool) -> None:
-    """Append one canonical chunk's column dicts to ``parts``, per channel."""
-    src, ch, det, basis = config.source, config.channel, config.detectors, config.basis
-    duration_ps = config.duration_ps
+# column dtypes; the truth columns follow the times
+_COLUMNS = {"times": np.int64, "pair_ids": np.int64, "detunings": float,
+            "emit_times": np.int64}
+
+
+def _party_parts(config: SimConfig, rng: np.random.Generator, party: Party,
+                 codes: np.ndarray, omega: np.ndarray, emit: np.ndarray,
+                 first_id: np.int64, parts: dict, truth: bool) -> None:
+    """Append one party's detections of a chunk to ``parts``, per channel."""
+    src, ch, det = config.source, config.channel, config.detectors
+    bob = party == Party.BOB
+    delay = ch.propagation_delay_ps if bob else 0
+    beta_res = beta_from_dispersion(ch.residual_dispersion_ps_per_nm,
+                                    config.wavelength_nm) if bob else 0.0
+    if src.correlation_time_sigma_ps or (bob and (
+            ch.eve_time_sigma_ps or ch.eve_freq_sigma_rad_s or beta_res)):
+        # per-detection noise: the party's own times and physical detunings
+        idx = np.flatnonzero(codes != 0)  # the party's detections among the kept pairs
+        t, om = emit[idx], omega[idx]  # size-0 draws leave the generator as is
+        if src.correlation_time_sigma_ps:
+            t += rng.normal(0.0, src.correlation_time_sigma_ps, t.size)
+        if bob:
+            t += delay
+            if ch.eve_time_sigma_ps:
+                t += rng.normal(0.0, ch.eve_time_sigma_ps, t.size)
+            if ch.eve_freq_sigma_rad_s:
+                om += rng.normal(0.0, ch.eve_freq_sigma_rad_s, om.size)
+            if beta_res:
+                t += beta_res * om
+        codes, delay = codes[idx], 0
+    else:
+        # none: each channel gathers straight from the pair columns
+        idx, t, om = None, emit, omega
+    for chan, code in zip(CHANNELS[2:] if bob else CHANNELS[:2], (_TIME, _FREQ)):
+        pos = np.flatnonzero(codes == code)
+        if not pos.size:
+            continue
+        tt = t[pos]
+        tt += delay
+        if chan.basis == Basis.FREQ:
+            tt += dispersive_shift(om[pos], config.basis, party)
+        tt += rng.normal(0.0, det[chan].jitter_sigma_ps, tt.size)
+        times = np.rint(tt, out=tt).astype(np.int64)
+        ok = (times >= 0) & (times < config.duration_ps)
+        keep = slice(None) if ok.all() else ok
+        part = dict(times=times[keep])
+        if truth:
+            pair = (pos if idx is None else idx[pos])[keep]
+            part.update(pair_ids=first_id + pair, detunings=omega[pair],
+                        emit_times=np.rint(emit[pair]).astype(np.int64))
+        parts[chan].append(part)
+
+
+def _simulate_chunk(config: SimConfig, chunk: int, truth: bool
+                    ) -> dict[Channel, list[dict]]:
+    """One canonical chunk's column dicts, per channel, in draw order."""
+    src, ch, det = config.source, config.channel, config.detectors
     start = chunk * CHUNK_PS
     p_route = 0.5  # fair coupler
-    surv = {
-        Channel.T1: ch.alice_transmission * det[Channel.T1].efficiency,
-        Channel.F1: ch.alice_transmission * det[Channel.F1].efficiency,
-        Channel.T2: ch.bob_transmission * det[Channel.T2].efficiency,
-        Channel.F2: ch.bob_transmission * det[Channel.F2].efficiency,
-    }
-    beta_res = beta_from_dispersion(ch.residual_dispersion_ps_per_nm, config.wavelength_nm)
+    surv = {c: (ch.alice_transmission if c in (Channel.T1, Channel.F1)
+                else ch.bob_transmission) * det[c].efficiency for c in CHANNELS}
 
     # chunks always generate at full canonical width and truncate to the
     # session, so a session is a prefix of one infinite seeded tape
@@ -418,52 +462,23 @@ def _simulate_chunk(config: SimConfig, chunk: int, parts: dict, truth: bool) -> 
     c_a, c_b, k = c_a[kept], c_b[kept], kept.size
     del kept
 
-    emit = start + rng.random(k) * width_ps
+    # start + u * width and (-omega_a) + break, in place
+    emit = rng.random(k)
+    emit *= width_ps
+    emit += start
     omega_a = (rng.normal(0.0, src.spectral_sigma_rad_s, k)
                if src.spectral_sigma_rad_s else np.zeros(k))
-    omega_b = -omega_a
     if src.correlation_break_sigma_rad_s:
-        omega_b = omega_b + rng.normal(0.0, src.correlation_break_sigma_rad_s, k)
+        omega_b = rng.normal(0.0, src.correlation_break_sigma_rad_s, k)
+        omega_b -= omega_a
+    else:
+        omega_b = -omega_a
     first_id = np.int64(chunk) << np.int64(36)
-
-    for party, c, omega, chan_t, chan_f in (
-            (Party.ALICE, c_a, omega_a, Channel.T1, Channel.F1),
-            (Party.BOB, c_b, omega_b, Channel.T2, Channel.F2)):
-        # indices into the kept pairs of this party's detections
-        idx = np.flatnonzero(c != 0)
-        if not idx.size:
-            continue
-        m = idx.size
-        t = emit[idx]
-        om_phys = omega[idx]
-        if src.correlation_time_sigma_ps:
-            t += rng.normal(0.0, src.correlation_time_sigma_ps, m)
-        if party == Party.BOB:
-            t += ch.propagation_delay_ps
-            if ch.eve_time_sigma_ps:
-                t += rng.normal(0.0, ch.eve_time_sigma_ps, m)
-            if ch.eve_freq_sigma_rad_s:
-                om_phys += rng.normal(0.0, ch.eve_freq_sigma_rad_s, m)
-            if beta_res:
-                t += beta_res * om_phys
-        in_time = c[idx] == _TIME
-        for chan, pos in ((chan_t, np.flatnonzero(in_time)),
-                          (chan_f, np.flatnonzero(~in_time))):
-            if not pos.size:
-                continue
-            tt = t[pos]
-            if chan.basis == Basis.FREQ:
-                tt += dispersive_shift(om_phys[pos], basis, party)
-            tt += rng.normal(0.0, det[chan].jitter_sigma_ps, pos.size)
-            times = np.rint(tt).astype(np.int64)
-            ok = (times >= 0) & (times < duration_ps)
-            keep = slice(None) if ok.all() else ok
-            part = dict(times=times[keep])
-            if truth:
-                pair = idx[pos][keep]
-                part.update(pair_ids=first_id + pair, detunings=omega[pair],
-                            emit_times=np.rint(emit[pair]).astype(np.int64))
-            parts[chan].append(part)
+    parts: dict[Channel, list[dict]] = {c: [] for c in CHANNELS}
+    _party_parts(config, rng, Party.ALICE, c_a, omega_a, emit, first_id, parts, truth)
+    del c_a, omega_a
+    _party_parts(config, rng, Party.BOB, c_b, omega_b, emit, first_id, parts, truth)
+    del c_b, omega_b, emit
 
     # dark counts, uniform over the chunk
     rng_dark = _chunk_rng(config.seed, chunk, purpose=1)
@@ -472,49 +487,93 @@ def _simulate_chunk(config: SimConfig, chunk: int, parts: dict, truth: bool) -> 
         n_d = rng_dark.poisson(rate * width_ps / PS_PER_SECOND) if rate > 0 else 0
         if n_d:
             times = start + np.sort(rng_dark.integers(0, width_ps, n_d))
-            times = times[times < duration_ps].astype(np.int64)
+            times = times[times < config.duration_ps].astype(np.int64)
             part = dict(times=times)
             if truth:
                 part.update(pair_ids=np.full(len(times), -1, np.int64),
                             detunings=np.full(len(times), np.nan),
                             emit_times=np.zeros(len(times), np.int64))
             parts[chan].append(part)
+    return parts
+
+
+def _sorted(cols: dict) -> dict:
+    """``cols`` in time order; stably so where truth columns show ties."""
+    if len(cols) == 1:
+        cols["times"].sort()
+        return cols
+    times, order = _stable_sort(cols["times"])
+    return {key: times if key == "times" else col[order] for key, col in cols.items()}
+
+
+def _merge(held: dict, parts: list[dict], released: int) -> dict:
+    """``held``'s columns and a chunk's ``parts`` in the order of one stable
+    sort of both; ``held`` is in it already, and at or after ``released``."""
+    new = {key: np.concatenate([col[:0]] + [p[key] for p in parts])
+           for key, col in held.items()}
+    parts.clear()
+    if new["times"].size and new["times"].min() < released:
+        raise ConfigError(f"a tag lands more than one {CHUNK_PS} ps chunk before its "
+                          "own chunk: the delay or jitter is too large")
+    new = _sorted(new)
+    # held's tags up to new's first come first and new's after held's last
+    # come last; only the overlap between them is sorted again
+    a, b = held["times"], new["times"]
+    i = int(np.searchsorted(a, b[0], "right")) if b.size else a.size
+    j = int(np.searchsorted(b, a[-1], "right")) if a.size else 0
+    mid = _sorted({key: np.concatenate([held[key][i:], new[key][:j]]) for key in held})
+    return {key: np.concatenate([held[key][:i], mid[key], new[key][j:]]) for key in held}
+
+
+def _release(held: dict, bound: int, duration_ps: int) -> SessionTags:
+    """The held tags below ``bound`` as one window; the rest stay held. Both
+    sides are copies, so neither keeps the other alive."""
+    streams = []
+    for chan, cols in held.items():
+        cut = int(np.searchsorted(cols["times"], bound))
+        held[chan] = {key: col[cut:].copy() for key, col in cols.items()}
+        streams.append(TagStream(cols.pop("times")[:cut].copy(), chan, duration_ps,
+                                 **{key: col[:cut].copy() for key, col in cols.items()}))
+    return SessionTags(*streams)
+
+
+def simulate_windows(config: SimConfig, *, truth: bool = False
+                     ) -> Iterator[tuple[int, SessionTags]]:
+    """The session's streams as time-ordered windows ``(end_ps, tags)``.
+
+    Once chunk c is drawn, the tags below ``c * CHUNK_PS`` form a window
+    (the first is empty); the rest are held back, one chunk of lookahead.
+    The last window ends at the session's end. Joined, the windows are
+    ``simulate_session``'s streams, tie order included. A tag more than a
+    chunk before its own chunk (a delay below -0.25 s, or a jitter near it)
+    raises ``ConfigError``.
+    """
+    duration_ps = config.duration_ps
+    keys = tuple(_COLUMNS)[:4 if truth else 1]
+    held = {c: {key: np.empty(0, _COLUMNS[key]) for key in keys} for c in CHANNELS}
+    for chunk in range(-(-duration_ps // CHUNK_PS)):
+        parts = _simulate_chunk(config, chunk, truth)
+        for chan in CHANNELS:  # the last window ended at the previous chunk's start
+            held[chan] = _merge(held[chan], parts.pop(chan), (chunk - 1) * CHUNK_PS)
+        yield chunk * CHUNK_PS, _release(held, chunk * CHUNK_PS, duration_ps)
+    yield duration_ps, _release(held, duration_ps, duration_ps)
 
 
 def simulate_session(config: SimConfig, *, truth: bool = False) -> SessionTags:
-    """Generate the four tag streams for one session.
+    """Generate the four tag streams for one session (its windows, joined).
 
     Streams carry timestamps only, unless ``truth`` is set: then
     photon-origin tags also carry truth annotations (pair id, emitted
     detuning, true emission time) and dark counts carry none. Timestamps
     do not depend on ``truth``. Fully reproducible from ``config.seed``.
     """
-    duration_ps = config.duration_ps
-    # per channel, a list of column dicts; the empty first part keeps the
-    # column dtypes when a channel records nothing
-    parts: dict[Channel, list[dict]] = {c: [dict(
-        times=np.empty(0, np.int64), pair_ids=np.empty(0, np.int64),
-        detunings=np.empty(0, float), emit_times=np.empty(0, np.int64))]
-        for c in CHANNELS}
-
-    # a chunk's scratch arrays are freed before the next chunk draws
-    for chunk in range(-(-duration_ps // CHUNK_PS)):
-        _simulate_chunk(config, chunk, parts, truth)
-
-    # each part's columns are dropped as they are joined, so the parts and
-    # the finished streams are never all alive at once
+    windows = [window for _, window in simulate_windows(config, truth=truth)]
+    parts = {chan: [w.stream(chan) for w in windows] for chan in CHANNELS}
+    del windows
     streams = []
-    for chan in CHANNELS:
-        chan_parts = parts.pop(chan)
-        times = np.concatenate([p.pop("times") for p in chan_parts])
-        columns = {}
-        if truth:
-            # tie order shows only in the truth columns; one column at a
-            # time, so only one unsorted copy is alive at once
-            times, order = _stable_sort(times)
-            columns = {k: np.concatenate([p.pop(k) for p in chan_parts])[order]
-                       for k in ("pair_ids", "detunings", "emit_times")}
-        else:
-            times.sort()
-        streams.append(TagStream(times, chan, duration_ps, **columns))
+    for chan in CHANNELS:  # each channel's windows go as it is joined
+        cols = {key: np.concatenate([getattr(w, key) for w in parts[chan]])
+                for key in tuple(_COLUMNS)[:4 if truth else 1]}
+        del parts[chan]
+        streams.append(TagStream(cols.pop("times"), chan, config.duration_ps, **cols))
     return SessionTags(*streams)

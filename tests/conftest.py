@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -12,6 +14,15 @@ ACCEPT_SEED = 20260808
 settings.register_profile("doqkd", derandomize=True, deadline=None,
                           max_examples=100, database=None)
 settings.load_profile("doqkd")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that leaves a thread alive it did not find."""
+    before = set(threading.enumerate())
+    yield
+    extra = [t.name for t in threading.enumerate() if t not in before]
+    assert not extra, f"threads left alive: {extra}"
 
 
 @pytest.fixture(scope="session")

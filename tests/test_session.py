@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,15 +13,16 @@ from hypothesis import strategies as st
 import doqkd as dq
 from doqkd import session
 from doqkd.errors import EstimationError, StageError
-from doqkd.security import mutual_information, secret_fraction
+from doqkd.security import (FourBasisHistograms, estimate_tfcm,
+                            mutual_information, secret_fraction)
 from doqkd.session import (NOMINAL_BETA, OptimizeEntry, SweepRow, align_bob,
                            optimize, run_experiment, session_format,
                            split_seed, sweep)
 from doqkd.sifting import (FrameFormat, qber, run_sifting,
                            split_security_fraction)
 from doqkd.simulate import (ChannelModel, DetectorModel, SessionTags,
-                            paper_default_config)
-from doqkd.timetags import Channel, TagStream
+                            paper_default_config, simulate_windows)
+from doqkd.timetags import Channel, TagStream, coincidence_histogram
 
 
 def tiny_cfg(**kw):
@@ -117,11 +120,12 @@ STEP_ATTRS = {"compute_baseline": ("compute_baseline", "baseline_from_tags"),
 
 
 class TestOverlap:
-    """Decoding runs on one worker thread while this thread runs the
-    baseline; neither the order they finish in nor a failure in one of them
-    leaks into the output or leaves a thread behind. Each case runs
-    run_experiment, and process_session on recorded tags with a recorded
-    baseline callable."""
+    """run_experiment starts the baseline on one worker thread before it
+    simulates the session; process_session then decodes on another while
+    this thread estimates the session and waits for the baseline. Neither
+    the order these finish in nor a failure in one of them leaks into the
+    output or leaves a thread behind. Each case runs run_experiment, and
+    process_session on recorded tags with a recorded baseline callable."""
 
     @staticmethod
     def runs(recorded):
@@ -176,6 +180,129 @@ class TestOverlap:
             assert err.value.stage == stage
             assert isinstance(err.value.cause, RuntimeError)
             assert threading.active_count() == threads
+
+    def test_simulate_failure_while_the_baseline_runs(self, monkeypatch):
+        started, finished = threading.Event(), threading.Event()
+        compute = session.compute_baseline
+
+        def slow_baseline(config):
+            started.set()
+            time.sleep(0.2)
+            try:
+                return compute(config)
+            finally:
+                finished.set()
+
+        def fail(config, **kwargs):
+            assert started.wait(5)  # the baseline is running
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(session, "compute_baseline", slow_baseline)
+        monkeypatch.setattr(session, "simulate_session", fail)
+        threads = threading.active_count()
+        with pytest.raises(StageError) as err:
+            run_experiment(tiny_cfg())
+        assert err.value.stage == "simulate"
+        assert isinstance(err.value.cause, RuntimeError)
+        assert finished.is_set()  # the error waits for the worker
+        assert threading.active_count() == threads
+
+
+def whole_stream_histograms(tags, cfg):
+    """The four-basis histograms of ``cfg``'s security subset of whole
+    streams, each basis pair binned by ``coincidence_histogram`` alone."""
+    fmt, seed = session_format(cfg), split_seed(cfg)
+    t1, t2 = (split_security_fraction(s, cfg.security_fraction, seed, fmt)[0]
+              for s in (tags.t1, tags.t2))
+    streams = {"t": (t1, t2), "f": (tags.f1, tags.f2)}
+    rng = (-cfg.hist_range_ps, cfg.hist_range_ps)
+    return FourBasisHistograms(**{
+        a + b: coincidence_histogram(streams[a][0], streams[b][1], cfg.hist_bin_ps,
+                                     rng, cfg.duration_s)
+        for a in "tf" for b in "tf"})
+
+
+def assert_same_histograms(got, expected):
+    for name in ("tt", "tf", "ft", "ff"):
+        g, e = getattr(got, name), getattr(expected, name)
+        assert (g.bin_width, g.offset_min, g.offset_max, g.acquisition_time_s) == (
+            e.bin_width, e.offset_min, e.offset_max, e.acquisition_time_s)
+        assert g.counts.dtype == e.counts.dtype
+        assert g.counts.tobytes() == e.counts.tobytes()
+
+
+def window_list(tags, cuts):
+    """``tags`` cut at the sorted times ``cuts`` into windows (end, tags)."""
+    out, lo = [], 0
+    for end in list(cuts) + [math.inf]:
+        out.append((end, SessionTags(*(s.select((s.times >= lo) & (s.times < end))
+                                       for s in (tags.t1, tags.f1, tags.t2, tags.f2)))))
+        lo = end
+    return out
+
+
+class TestWindowedEstimate:
+    """Histograms binned window by window count what whole streams count."""
+
+    def test_baseline_tfcm_bytes_equal_the_whole_stream_estimate(self):
+        cfg = tiny_cfg()
+        cfg.baseline_duration_s = 0.6  # three windows
+        bcfg = cfg.baseline_config()
+        tags = dq.simulate_session(bcfg)
+        expected = estimate_tfcm(whole_stream_histograms(tags, bcfg),
+                                 bcfg.basis.beta_d_ps_per_rad_s)
+        for baseline in (session.compute_baseline(cfg),
+                         session.baseline_from_tags(tags, cfg)):
+            assert baseline.tfcm.matrix.tobytes() == expected.matrix.tobytes()
+            assert baseline.tfcm.sample_counts == expected.sample_counts
+
+    def test_histogram_range_wider_than_a_chunk(self):
+        cfg = tiny_cfg(duration_s=0.6, hist_bin_ps=30_000_000,
+                       hist_range_ps=300_000_000_000)
+        cfg.source = dataclasses.replace(cfg.source, pair_rate_hz=2e4)
+        fmt = session_format(cfg)
+        windows = ((end, session.security_subset(w, cfg, fmt))
+                   for end, w in simulate_windows(cfg))
+        hists = session.four_basis_histograms(windows, cfg.hist_bin_ps,
+                                              cfg.hist_range_ps, cfg.duration_s)
+        assert hists.tt.total > 10**4  # pairs from windows apart
+        assert_same_histograms(hists, whole_stream_histograms(dq.simulate_session(cfg), cfg))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+           span_ps=st.integers(1, 10**6), n_cuts=st.integers(0, 6),
+           bin_ps=st.integers(1, 1000), half_bins=st.integers(1, 400))
+    @example(seed=1, n=300, span_ps=10**6, n_cuts=6, bin_ps=1000, half_bins=400)
+    @example(seed=2, n=300, span_ps=1000, n_cuts=6, bin_ps=1, half_bins=1)
+    def test_windows_bin_like_the_joined_streams(self, seed, n, span_ps, n_cuts,
+                                                 bin_ps, half_bins):
+        # ranges from one bin to far wider than the windows, which may be
+        # empty or cut through ties
+        rng = np.random.default_rng(seed)
+        tags = SessionTags(*(TagStream(np.sort(rng.integers(0, span_ps, n)), ch, span_ps)
+                             for ch in Channel))
+        cuts = np.sort(rng.integers(0, span_ps + 1, n_cuts)).tolist()
+        range_ps = bin_ps * half_bins
+        got = session.four_basis_histograms(window_list(tags, cuts), bin_ps, range_ps, 1.0)
+        expected = session.four_basis_histograms([(math.inf, tags)], bin_ps, range_ps, 1.0)
+        for name, (a, b) in {"tt": ("t1", "t2"), "tf": ("t1", "f2"),
+                             "ft": ("f1", "t2"), "ff": ("f1", "f2")}.items():
+            h = coincidence_histogram(getattr(tags, a), getattr(tags, b), bin_ps,
+                                      (-range_ps, range_ps), 1.0)
+            assert getattr(got, name).counts.tobytes() == h.counts.tobytes()
+            assert getattr(expected, name).counts.tobytes() == h.counts.tobytes()
+
+    def test_baseline_peak_memory_does_not_grow_with_its_length(self):
+        peaks = []
+        for seconds in (1.0, 2.0):
+            cfg = tiny_cfg()
+            cfg.baseline_duration_s = seconds
+            tracemalloc.start()
+            try:
+                session.compute_baseline(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.15 * peaks[0]
 
 
 @pytest.fixture(scope="module")

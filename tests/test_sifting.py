@@ -1,8 +1,11 @@
 import dataclasses
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from doqkd.errors import ConfigError, ProtocolAbort
 from doqkd.sifting import (FrameFormat, match_bins, pack_symbols, qber,
@@ -199,6 +202,40 @@ class TestSplit:
                 assert sel
             elif f in key_frames_a:
                 assert not sel
+
+
+_SM_GAMMA, _SM_M1, _SM_M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def allocating_mask(times, fraction, seed, fmt):
+    """``security_mask`` as it read when each SplitMix64 step made new arrays."""
+    def splitmix64(x):
+        x = (x + np.uint64(_SM_GAMMA)).astype(np.uint64)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_M1)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_M2)
+        return x ^ (x >> np.uint64(31))
+    frames = (times // fmt.frame_width_ps).astype(np.int64).view(np.uint64)
+    salt = splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], np.uint64))[0]
+    return splitmix64(frames ^ salt) < np.uint64(int(fraction * 2.0**64))
+
+
+INT64_MAX = 2**63 - 1
+
+
+class TestSecurityMaskInPlace:
+    @given(times=st.lists(st.integers(0, 10**4)
+                          | st.integers(INT64_MAX - 10**4, INT64_MAX),
+                          max_size=200).map(sorted),
+           width=st.integers(1, 10**4) | st.integers(1, INT64_MAX),
+           seed=st.integers(0, 2**64 - 1), fraction=st.floats(1e-9, 1 - 1e-9))
+    @example(times=[0, INT64_MAX], width=INT64_MAX, seed=2**64 - 1, fraction=0.3)
+    @example(times=[INT64_MAX - 1, INT64_MAX], width=1, seed=0, fraction=0.5)
+    def test_matches_the_allocating_expression(self, times, width, seed, fraction):
+        t = np.array(times, np.int64)
+        fmt = SimpleNamespace(frame_width_ps=width)  # the mask reads only the width
+        mask = security_mask(t, fraction, seed, fmt)
+        assert mask.tobytes() == allocating_mask(t, fraction, seed, fmt).tobytes()
+        assert t.tolist() == times  # the input is not hashed in place
 
 
 class TestRunSifting:

@@ -9,15 +9,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import doqkd as dq
+from doqkd.cli import main
 from doqkd.errors import ConfigError
-from doqkd.simulate import (CHANNELS, ChannelModel, DetectorModel,
+from doqkd.simulate import (CHANNELS, CHUNK_PS, ChannelModel, DetectorModel,
                             DispersiveBasis, SimConfig, SourceModel,
                             beta_from_dispersion, dispersive_shift,
                             paper_default_config, _BLOCK, _FREQ, _TIME,
-                            _outcomes, _stable_sort, simulate_session)
+                            _merge, _outcomes, _release, _stable_sort,
+                            simulate_session, simulate_windows)
 from doqkd.timetags import Channel, Party, coincidence_histogram, fwhm
 from calibration import (FWHM_PER_SIGMA, CalibrationError, CalibrationTargets,
                          calibrate, dispersion_spread_ps, jitter_sigma_for_fwhm)
+from reference_simulate import whole_session
 from test_golden import simulate_config
 
 DEFAULT_DICT = paper_default_config().to_dict()
@@ -244,10 +247,23 @@ class TestSimulateSession:
         assert abs(floor - expect) < 5 * sigma
 
     def test_propagation_delay_shifts_bob(self):
+        self.assert_delay_shifts_bob({})
+
+    def test_propagation_delay_shifts_a_noiseless_bob(self):
+        # without injected noise Bob's channels gather straight from the
+        # emission times, and the delay is added per channel
+        self.assert_delay_shifts_bob({"eve_time_sigma_ps": 0.0,
+                                      "eve_freq_sigma_rad_s": 0.0})
+
+    @staticmethod
+    def assert_delay_shifts_bob(noise):
         cfg = small_cfg()
-        cfg.channel = dataclasses.replace(cfg.channel, propagation_delay_ps=123_456)
+        cfg.channel = dataclasses.replace(cfg.channel, propagation_delay_ps=123_456,
+                                          **noise)
         tags = simulate_session(cfg)
-        ref = simulate_session(small_cfg())
+        ref_cfg = small_cfg()
+        ref_cfg.channel = dataclasses.replace(ref_cfg.channel, **noise)
+        ref = simulate_session(ref_cfg)
         # same pairs, shifted arrivals (tail drops aside)
         assert abs(len(tags.t2) - len(ref.t2)) < 200
         h = coincidence_histogram(ref.t2, tags.t2, 2, (123_450, 123_462))
@@ -261,7 +277,102 @@ class TestSimulateSession:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * sum(tags.stream(ch).times.nbytes for ch in CHANNELS)
+        assert peak <= 3.5 * sum(tags.stream(ch).times.nbytes for ch in CHANNELS)
+
+
+def slow_config(seed=1, duration_s=0.8, delay_ps=0, jitter_ps=45.0):
+    """The paper default at a 20 kHz pair rate, with one jitter on all four
+    detectors: a few thousand tags per chunk."""
+    cfg = paper_default_config(seed=seed, duration_s=duration_s, pair_rate_hz=2e4,
+                               propagation_delay_ps=delay_ps)
+    cfg.detectors = {c: DetectorModel(d.efficiency, jitter_ps, d.dark_rate_hz)
+                     for c, d in cfg.detectors.items()}
+    return cfg
+
+
+def assert_same_streams(a, b):
+    for ch in CHANNELS:
+        x, y = a.stream(ch), b.stream(ch)
+        assert x.channel == y.channel == ch and x.duration_ps == y.duration_ps
+        for col in ("times", "pair_ids", "detunings", "emit_times"):
+            u, v = getattr(x, col), getattr(y, col)
+            assert (u is None) == (v is None)
+            if u is not None:
+                assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+
+class TestWindows:
+    """``simulate_windows`` hands a session out in time-ordered windows that
+    join into the streams of one sort over all chunks, ties included."""
+
+    @given(seed=st.integers(0, 2**64 - 1), duration_s=st.floats(1e-3, 0.75),
+           delay_ps=st.integers(-10**6, 0) | st.integers(0, 4 * 10**11),
+           jitter_ps=st.sampled_from([0.0, 45.0, 3e10]), truth=st.booleans())
+    @example(seed=2, duration_s=0.75, delay_ps=3 * 10**11, jitter_ps=3e10, truth=True)
+    @example(seed=3, duration_s=0.25, delay_ps=0, jitter_ps=45.0, truth=True)
+    def test_windows_join_into_the_whole_session(self, seed, duration_s, delay_ps,
+                                                 jitter_ps, truth):
+        cfg = slow_config(seed, duration_s, delay_ps, jitter_ps)
+        windows = list(simulate_windows(cfg, truth=truth))
+        assert len(windows) == -(-cfg.duration_ps // CHUNK_PS) + 1
+        start = 0
+        for end, window in windows:
+            for ch in CHANNELS:
+                t = window.stream(ch).times  # sorted, as TagStream checks
+                assert not t.size or start <= t[0] and t[-1] < end
+            start = end
+        assert start == cfg.duration_ps
+        joined = [np.concatenate([getattr(w.stream(ch), col) for _, w in windows])
+                  for ch in CHANNELS for col in ("times",) + (
+                      ("pair_ids", "detunings", "emit_times") if truth else ())]
+        whole = whole_session(cfg, truth)
+        assert_same_streams(simulate_session(cfg, truth=truth), whole)
+        assert [a.tobytes() for a in joined] == [
+            getattr(whole.stream(ch), col).tobytes() for ch in CHANNELS
+            for col in ("times",) + (("pair_ids", "detunings", "emit_times")
+                                     if truth else ())]
+
+    @pytest.mark.parametrize("change", [{"jitter_ps": 1e11},
+                                        {"delay_ps": -3 * 10**11}])
+    def test_tag_more_than_a_chunk_early_is_a_config_error(self, change, tmp_path):
+        cfg = slow_config(**change)
+        with pytest.raises(ConfigError, match="more than one"):
+            simulate_session(cfg)
+        cfg.save(tmp_path / "cfg.json")  # it loads: the check is the simulator's
+        assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "sim")]) == 2
+
+    @given(held=st.lists(st.integers(0, 6), max_size=30).map(sorted),
+           parts=st.lists(st.lists(st.integers(0, 9), max_size=30), max_size=3),
+           bound=st.integers(0, 10))
+    @example(held=[3, 5, 5], parts=[[5, 1], [5, 3]], bound=5)
+    def test_merge_and_release_keep_the_stable_order(self, held, parts, bound):
+        # ties between held tags and a new chunk's, where the tie order
+        # shows only in the truth columns; tags equal to a bound stay held
+        def cols(times, first_id):
+            t = np.array(times, np.int64)
+            return {"times": t, "pair_ids": first_id + np.arange(t.size),
+                    "detunings": t * 0.5, "emit_times": t * 7}
+        merged_in = [cols(held, 0)] + [cols(p, 100 * (k + 1)) for k, p in enumerate(parts)]
+        merged = _merge(merged_in[0], [dict(c) for c in merged_in[1:]], 0)
+        order = np.argsort(np.concatenate([c["times"] for c in merged_in]), kind="stable")
+        for key in ("times", "pair_ids", "detunings", "emit_times"):
+            expected = np.concatenate([c[key] for c in merged_in])[order]
+            assert merged[key].tobytes() == expected.tobytes()
+        state = {ch: {k: v.copy() for k, v in merged.items()} for ch in CHANNELS}
+        window = _release(state, bound, 20)
+        for ch in CHANNELS:
+            assert (window.stream(ch).times < bound).all()
+            assert (state[ch]["times"] >= bound).all()
+            assert window.stream(ch).pair_ids.tolist() + state[ch]["pair_ids"].tolist() \
+                == merged["pair_ids"].tolist()
+
+    def test_a_chunk_of_lookahead_is_enough(self):
+        # a quarter-second delay less one picosecond still fits the windows
+        cfg = slow_config(delay_ps=-(CHUNK_PS - 1), jitter_ps=0.0)
+        assert_same_streams(simulate_session(cfg, truth=True), whole_session(cfg, True))
 
 
 class TestOutcomes:
