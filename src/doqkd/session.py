@@ -5,22 +5,26 @@ aligned tags, simulated or recorded, through the security/key split -> bin
 sifting of the key subset -> empirical information -> syndrome
 reconciliation on one worker thread, beside the security subset's
 histograms and the covariance analysis against the baseline -> privacy
-amplification. ``run_experiment`` simulates the baseline beside the
-session, on a worker thread, one 0.25 s window at a time. Everything
-derives from the session seed, so identical configurations produce
-byte-identical keys and (timing aside) byte-identical reports, whichever of
-the overlapped steps ends first.
+amplification. ``run_experiment`` simulates the baseline on a worker thread
+beside the session, one 0.25 s window at a time, and ``sweep`` simulates it
+on the calling thread while its format grid runs on a worker; a run that
+fails stops its baseline before the next window. Everything derives from
+the session seed, so identical configurations produce byte-identical keys
+and (timing aside) byte-identical reports, whichever of the overlapped steps
+ends first.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -66,8 +70,8 @@ def align_bob(tags: SessionTags, delay_ps: int) -> SessionTags:
     if delay_ps == 0:
         return tags
     def unshift(s: TagStream) -> TagStream:
-        shifted = s.shifted(-delay_ps)
-        return shifted.select(shifted.times >= 0)
+        # tags before the delay (dark counts, jitter) would shift below zero
+        return s.select(s.times >= delay_ps).shifted(-delay_ps)
     return SessionTags(tags.t1, tags.f1, unshift(tags.t2), unshift(tags.f2))
 
 
@@ -179,9 +183,39 @@ def baseline_from_tags(tags: SessionTags, config: SimConfig) -> Baseline:
     return _baseline([(math.inf, tags)], config)
 
 
+# while a baseline runs beside a session or a sweep, the event set once its
+# result will not be read; it reaches compute_baseline through the context,
+# so that function keeps its one-argument form
+_baseline_stop: ContextVar[threading.Event | None] = ContextVar("_baseline_stop",
+                                                                default=None)
+
+
+class _Stopped(Exception):
+    """A baseline was abandoned because the run it served failed."""
+
+
+def _until_stopped(windows: Iterator) -> Iterator:
+    """``windows``, checking the run's stop event before each next one is drawn."""
+    stop = _baseline_stop.get() or threading.Event()
+    for window in windows:
+        yield window
+        if stop.is_set():
+            raise _Stopped
+
+
 def compute_baseline(config: SimConfig) -> Baseline:
     """Covariances of the simulated back-to-back session (no delay to remove)."""
-    return _baseline(simulate_windows(config.baseline_config()), config)
+    return _baseline(_until_stopped(simulate_windows(config.baseline_config())), config)
+
+
+def _stoppable(stop: threading.Event, config: SimConfig) -> Baseline:
+    """``compute_baseline(config)``, stopped before its next window once
+    ``stop`` is set."""
+    token = _baseline_stop.set(stop)
+    try:
+        return compute_baseline(config)
+    finally:
+        _baseline_stop.reset(token)
 
 
 @dataclass
@@ -242,12 +276,18 @@ def _simulate(config: SimConfig) -> SessionTags:
 
 def run_experiment(config: SimConfig) -> SessionReport:
     """Simulate one session, with its baseline beside it on a worker thread,
-    and post-process it with ``process_session``."""
+    and post-process it with ``process_session``. A failure stops the
+    baseline before its next window."""
     t_start = time.monotonic()
+    stop = threading.Event()
     with ThreadPoolExecutor(1) as pool:
-        baseline = pool.submit(compute_baseline, config)
-        # the tags are passed unnamed, so the call holds their only reference
-        report = process_session(_simulate(config), config, baseline.result)
+        baseline = pool.submit(_stoppable, stop, config)
+        try:
+            # the tags are passed unnamed, so the call holds their only reference
+            report = process_session(_simulate(config), config, baseline.result)
+        except BaseException:
+            stop.set()  # the worker is joined without simulating to the end
+            raise
     report.wall_clock_s = time.monotonic() - t_start
     return report
 
@@ -419,23 +459,62 @@ def _near(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
             < np.searchsorted(y.view(np.uint64), upper, "left"))
 
 
-def _sweep_row(fmt: FrameFormat, off_a: np.ndarray, off_b: np.ndarray,
-               chi: float | None, duration_s: float) -> SweepRow:
-    """One grid point's row from the key-side offsets of its frame width."""
-    n, i_bins, tau = fmt.n_bits, fmt.bins_per_slot, fmt.bin_width_ps
+def _grid_point(fmt: FrameFormat, off_a: np.ndarray, off_b: np.ndarray,
+                with_info: bool) -> tuple[int, float | None, float | None]:
+    """One grid point's kept count, QBER and, with ``with_info`` and at least
+    1000 kept frames, I_AB, from the key-side offsets of its frame width."""
     _, _, key_a, key_b = match_bins(off_a, off_b, fmt)
     kept = key_a.size
     if kept == 0:
+        return 0, None, None
+    i_ab = (mutual_information(key_a, key_b, fmt.slots_per_frame)
+            if with_info and kept >= 1000 else None)
+    return kept, qber(key_a, key_b), i_ab
+
+
+def _sweep_row(fmt: FrameFormat, kept: int, q: float | None, i_ab: float | None,
+               chi: float | None, duration_s: float) -> SweepRow:
+    """One grid point's row; δI and the secret rate need I_AB and chi."""
+    n, i_bins, tau = fmt.n_bits, fmt.bins_per_slot, fmt.bin_width_ps
+    if kept == 0:
         return SweepRow(n, i_bins, tau, 0.0, None, None, None,
                         "aborted:no-kept-frames")
-    q = qber(key_a, key_b)
-    if chi is not None and kept >= 1000:
-        i_ab = mutual_information(key_a, key_b, fmt.slots_per_frame)
+    di = sr = None
+    if chi is not None and i_ab is not None:
         di, _ = secret_fraction(i_ab, chi, NOMINAL_BETA)
         sr = (kept / duration_s) * di
-    else:
-        di = sr = None
     return SweepRow(n, i_bins, tau, n * kept / duration_s, q, di, sr)
+
+
+def _sweep_grid(tags: SessionTags | None, config: SimConfig,
+                formats: list[FrameFormat], stop: threading.Event
+                ) -> tuple[tuple | None, list[tuple]]:
+    """Everything in ``sweep`` but its baseline: the session's estimate (None
+    when it fails with a ``DoqkdError``) and each grid point's kept count,
+    QBER and I_AB. ``stop`` is set when the baseline will not be used."""
+    try:
+        if tags is None:
+            tags = align_bob(simulate_session(config), config.channel.propagation_delay_ps)
+        try:
+            estimate = analyze_security(tags, config)
+        except DoqkdError:
+            estimate = None
+            stop.set()  # no bound without the session's estimate
+        by_width: dict[int, list[int]] = {}
+        for k, fmt in enumerate(formats):
+            by_width.setdefault(fmt.frame_width_ps, []).append(k)
+        t1, t2, widest = tags.t1.times, tags.t2.times, max(by_width)
+        tags = SessionTags(tags.t1.select(_near(t1, t2, widest)), tags.f1,
+                           tags.t2.select(_near(t2, t1, widest)), tags.f2)
+        points = [None] * len(formats)
+        for members in by_width.values():
+            off_a, off_b = _key_offsets(tags, config, formats[members[0]])
+            for k in members:
+                points[k] = _grid_point(formats[k], off_a, off_b, estimate is not None)
+        return estimate, points
+    except BaseException:
+        stop.set()
+        raise
 
 
 def sweep(config: SimConfig,
@@ -455,33 +534,35 @@ def sweep(config: SimConfig,
     common frames' offsets into slot and bin. The secret-rate column combines
     per-point empirical information with the session-level eavesdropper bound
     at a nominal reconciliation efficiency; it is a planning figure, not a
-    per-point reconciliation run.
+    per-point reconciliation run. The grid runs on a worker thread while
+    this thread simulates the back-to-back baseline behind that bound; the
+    bound is applied to the rows once both are done. A failure on the grid's
+    side stops the baseline before its next window and is raised; a
+    ``DoqkdError`` from the session's estimate, the baseline or the bound
+    leaves the rows without δI and secret rate.
     """
     if not tau_list or not i_list or not n_list:
         raise ValueError("sweep grids must be non-empty")
     formats = [FrameFormat(n, i_bins, tau)
                for n in n_list for i_bins in i_list for tau in tau_list]
-    if tags is None:
-        tags = align_bob(simulate_session(config), config.channel.propagation_delay_ps)
-    try:
-        _, tfcm = analyze_security(tags, config)
-        baseline = compute_baseline(config)
-        chi = holevo_bound(tfcm, baseline)
-    except DoqkdError:
-        chi = None
-
-    by_width: dict[int, list[int]] = {}
-    for k, fmt in enumerate(formats):
-        by_width.setdefault(fmt.frame_width_ps, []).append(k)
-    t1, t2, widest = tags.t1.times, tags.t2.times, max(by_width)
-    tags = SessionTags(tags.t1.select(_near(t1, t2, widest)), tags.f1,
-                       tags.t2.select(_near(t2, t1, widest)), tags.f2)
-    rows = [None] * len(formats)
-    for members in by_width.values():
-        off_a, off_b = _key_offsets(tags, config, formats[members[0]])
-        for k in members:
-            rows[k] = _sweep_row(formats[k], off_a, off_b, chi, config.duration_s)
-    return SweepTable(rows)
+    stop = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        grid = pool.submit(_sweep_grid, tags, config, formats, stop)
+        try:
+            baseline, failure = _stoppable(stop, config), None
+        except Exception as e:  # raised below if the bound needs the baseline
+            baseline, failure = None, e
+        estimate, points = grid.result()
+    chi = None
+    if estimate is not None:
+        try:
+            if failure is not None:
+                raise failure
+            chi = holevo_bound(estimate[1], baseline)
+        except DoqkdError:
+            pass
+    return SweepTable([_sweep_row(fmt, *point, chi, config.duration_s)
+                       for fmt, point in zip(formats, points)])
 
 
 @dataclass(frozen=True)

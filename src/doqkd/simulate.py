@@ -13,6 +13,7 @@ batched. All randomness flows from the single 64-bit session seed.
 Memory per chunk: one int8 outcome code per emitted pair and party (unseen,
 time path or frequency path), drawn in cache-sized blocks; float64 columns
 only for the pairs with a detection, about a quarter on the paper default.
+``SimConfig`` bounds the expected pairs and dark counts per chunk at load.
 """
 from __future__ import annotations
 
@@ -39,6 +40,9 @@ CHANNELS = (Channel.T1, Channel.F1, Channel.T2, Channel.F2)
 
 _BLOCK = 1 << 16  # uniforms per draw: a 512 KiB buffer that stays in cache
 _MAX_HIST_BINS = 1 << 20  # 2 * range_ps / bin_ps: 8 MiB of int64 counts
+# expected pairs plus dark counts per chunk: 8x the paper default's 4.2M
+# pairs, one int8 outcome code each per party
+_MAX_CHUNK_EVENTS = 1 << 25
 _FREQ, _TIME = 1, 2  # outcome codes; 0 is a photon that is not detected
 
 
@@ -211,6 +215,13 @@ class SimConfig:
             raise ConfigError(f"min_overhead must be > 0, got {self.min_overhead!r}")
         if set(self.detectors) != set(CHANNELS):
             raise ConfigError("detectors must cover T1, F1, T2, F2")
+        # bounds each chunk's draws before anything is simulated
+        rate_hz = self.source.pair_rate_hz + sum(d.dark_rate_hz
+                                                 for d in self.detectors.values())
+        if not rate_hz * CHUNK_PS / PS_PER_SECOND <= _MAX_CHUNK_EVENTS:
+            raise ConfigError(f"pair and dark-count rates of {rate_hz:g} Hz in all expect "
+                              f"more than {_MAX_CHUNK_EVENTS} events per "
+                              f"{CHUNK_PS / PS_PER_SECOND:g} s chunk")
 
     @property
     def duration_ps(self) -> int:

@@ -163,16 +163,25 @@ def coincidence_histogram(a: TagStream, b: TagStream, bin_width: int,
     # one search finds each a-tag's first b-tag at or after t_a + lo; the
     # windows then step forward together, each round dropping the a-tags
     # whose next b-tag is at or past t_a + hi. A window holds a handful of
-    # tags, so few rounds run and each is smaller than the last.
+    # tags, so few rounds run and each is smaller than the last. Rounds'
+    # bin indices are counted together once they reach n_bins, so a wide
+    # range's many small rounds do not each pay for the whole counts array.
     j = np.searchsorted(tb, ta + lo, side="left")
+    pending: list[np.ndarray] = []
+    n_pending = 0
     while j.size:
         live = j < len(tb)
         j, ta = j[live], ta[live]
         d = tb[j] - ta
         live = d < hi
         j, ta, d = j[live], ta[live], d[live]
-        counts += np.bincount((d - lo) // bin_width, minlength=n_bins)
+        pending.append((d - lo) // bin_width)
+        n_pending += d.size
         j += 1
+        if n_pending >= n_bins or not j.size:
+            counts += np.bincount(pending[0] if len(pending) == 1
+                                  else np.concatenate(pending), minlength=n_bins)
+            pending, n_pending = [], 0
 
     if acquisition_time_s is None:
         acquisition_time_s = max(a.duration_s, b.duration_s)

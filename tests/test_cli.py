@@ -359,6 +359,8 @@ def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
     # simcfg-v1 only, and no key that the format does not define
     ("format_version", "simcfg-v9"), ("securty_fraction", 0.5),
     ("histogram.bin_pss", 10), ("dark_rate_hz.T5", 100.0),
+    # more than 2**25 pairs plus dark counts expected per 0.25 s chunk
+    ("pair_rate_hz", 1.7e10), ("dark_rate_hz.F1", 2e8),
 ])
 def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):
     d = paper_default_config().to_dict()
@@ -371,6 +373,20 @@ def test_bad_config_value_exit_code(tmp_path, monkeypatch, path, value):
     # rejected when the config loads, before any session is simulated
     monkeypatch.setattr("doqkd.session.simulate_session", None)
     assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("path, value", [("pair_rate_hz", 1.7e10),
+                                         ("dark_rate_hz.F1", 2e8)])
+def test_simulate_chunk_work_over_the_bound_exit_code(tmp_path, monkeypatch, path,
+                                                      value):
+    d = paper_default_config().to_dict()
+    *outer, key = path.split(".")
+    (d[outer[0]] if outer else d)[key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(d))
+    # rejected when the config loads: not one chunk is drawn
+    monkeypatch.setattr("doqkd.simulate._simulate_chunk", None)
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
                  "--out", str(tmp_path)]) == 2
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import doqkd as dq
 from doqkd import session
-from doqkd.errors import EstimationError, StageError
+from doqkd.errors import ConfigError, DoqkdError, EstimationError, StageError
 from doqkd.security import (FourBasisHistograms, estimate_tfcm,
                             mutual_information, secret_fraction)
 from doqkd.session import (NOMINAL_BETA, OptimizeEntry, SweepRow, align_bob,
@@ -97,11 +97,79 @@ class TestRunExperiment:
         assert rep.kept_frames == pytest.approx(ref.kept_frames, rel=0.01)
         assert rep.qber_symbol == pytest.approx(ref.qber_symbol, abs=0.005)
 
+    def test_delay_removal_drops_tags_before_the_delay(self):
+        # a dark count or a jittered tag may precede the delay
+        tags = SessionTags(*(TagStream(np.array([0, 5, 20, 29]), ch, 30) for ch in Channel))
+        aligned = align_bob(tags, 10)
+        assert aligned.t1 is tags.t1 and aligned.f1 is tags.f1
+        for s in (aligned.t2, aligned.f2):
+            assert s.times.tolist() == [10, 19]
+            assert s.duration_ps == 30
+
     def test_stage_error_tagging(self):
         cfg = tiny_cfg(duration_s=0.02)
         cfg.security_fraction = 0.9999999  # leaves no key events
         with pytest.raises(StageError):
             run_experiment(cfg)
+
+
+def per_channel(values):
+    return st.fixed_dictionaries({name: values for name in ("T1", "F1", "T2", "F2")})
+
+
+def or_typical(typical, values):
+    """``values``, or often the one that most sessions reach a key with."""
+    return st.just(typical) | values
+
+
+@st.composite
+def small_configs(draw):
+    """simcfg-v1 overrides of the paper default: 1-60 ms sessions and
+    baselines, pair rates up to 2e6 Hz, any format, histogram layout,
+    security fraction and block length, delays, noise and transmission.
+    Each draw that decides whether the histograms hold a peak is often
+    the value at which they do, so that many sessions reach the later
+    stages."""
+    duration = or_typical(0.06, st.floats(1e-3, 0.06))
+    unit = or_typical(1.0, st.floats(1e-3, 1.0))
+    bin_ps, half_bins = draw(or_typical((30, 128), st.tuples(st.integers(1, 200),
+                                                             st.integers(1, 300))))
+    return dict(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        duration_s=draw(duration), baseline={"duration_s": draw(duration)},
+        pair_rate_hz=draw(or_typical(2e6, st.floats(1e3, 2e6))),
+        format={"n_bits": draw(st.integers(1, 6)),
+                "bins_per_slot": draw(st.integers(1, 8)),
+                "bin_width_ps": draw(st.integers(1, 600))},
+        histogram={"bin_ps": bin_ps, "range_ps": bin_ps * half_bins},
+        security_fraction=draw(or_typical(0.5, st.floats(0.01, 0.99))),
+        reconciliation={"block_length": draw(st.integers(129, 3000)),
+                        "max_iterations": draw(st.integers(1, 20))},
+        propagation_delay_ps=draw(st.integers(-10**6, 10**8)),
+        jitter_sigma_ps=draw(per_channel(or_typical(45.0, st.floats(0.0, 300.0)))),
+        dark_rate_hz=draw(per_channel(or_typical(100.0, st.floats(0.0, 1e5)))),
+        efficiency=draw(per_channel(unit)),
+        transmission={"alice": draw(unit), "bob": draw(unit)},
+        eve_time_sigma_ps=draw(st.floats(0.0, 200.0)),
+        eve_freq_sigma_rad_s=draw(st.floats(0.0, 2e10)),
+        correlation_time_sigma_ps=draw(st.floats(0.0, 100.0)),
+        residual_dispersion_ps_per_nm=draw(st.floats(-200.0, 200.0)),
+    )
+
+
+class TestTypedFailures:
+    """Whatever stage a small session fails in, the cause is typed."""
+
+    @given(overrides=small_configs())
+    def test_stage_errors_have_typed_causes(self, overrides):
+        try:
+            cfg = paper_default_config(**overrides)
+        except ConfigError:
+            return
+        try:
+            run_experiment(cfg)
+        except StageError as e:
+            assert isinstance(e.cause, DoqkdError), f"[{e.stage}] {e.cause!r}"
 
 
 @pytest.fixture(scope="module")
@@ -182,30 +250,49 @@ class TestOverlap:
             assert threading.active_count() == threads
 
     def test_simulate_failure_while_the_baseline_runs(self, monkeypatch):
-        started, finished = threading.Event(), threading.Event()
-        compute = session.compute_baseline
-
-        def slow_baseline(config):
-            started.set()
-            time.sleep(0.2)
-            try:
-                return compute(config)
-            finally:
-                finished.set()
+        cfg = tiny_cfg()
+        cfg.baseline_duration_s = 5.0  # the bundled length: 21 windows
+        drawn = BaselineWindows(monkeypatch)
 
         def fail(config, **kwargs):
-            assert started.wait(5)  # the baseline is running
+            drawn.fail()
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(session, "compute_baseline", slow_baseline)
         monkeypatch.setattr(session, "simulate_session", fail)
         threads = threading.active_count()
         with pytest.raises(StageError) as err:
-            run_experiment(tiny_cfg())
+            run_experiment(cfg)
         assert err.value.stage == "simulate"
         assert isinstance(err.value.cause, RuntimeError)
-        assert finished.is_set()  # the error waits for the worker
+        # the error waits for the worker, which stops at its next window
+        assert drawn.before >= 1 and drawn.after <= 2
         assert threading.active_count() == threads
+
+
+class BaselineWindows:
+    """Counts the windows the baseline draws, through the session module's
+    ``simulate_windows``, before and after ``fail``; ``fail`` first waits
+    until one is drawn, so the baseline is running when it is called."""
+
+    def __init__(self, monkeypatch):
+        self.before = self.after = 0
+        self.drawn, self.failed = threading.Event(), threading.Event()
+        windows = session.simulate_windows
+
+        def counted(config, **kwargs):
+            for window in windows(config, **kwargs):
+                if self.failed.is_set():
+                    self.after += 1
+                else:
+                    self.before += 1
+                self.drawn.set()
+                yield window
+
+        monkeypatch.setattr(session, "simulate_windows", counted)
+
+    def fail(self):
+        assert self.drawn.wait(30)
+        self.failed.set()
 
 
 def whole_stream_histograms(tags, cfg):
@@ -365,6 +452,115 @@ def per_point_rows(config, tags, formats, chi):
                              n * res.kept_frames / config.duration_s,
                              qber(res.key_a, res.key_b), di, sr))
     return rows
+
+
+SMALL_GRID = ((120, 160), (3,), (4,))
+
+
+def grid_formats(tau_list, i_list, n_list):
+    return [FrameFormat(n, i_bins, tau)
+            for n in n_list for i_bins in i_list for tau in tau_list]
+
+
+def sequential_chi(config, tags):
+    """The session-level bound computed step after step, as one thread would."""
+    try:
+        _, tfcm = session.analyze_security(tags, config)
+        return session.holevo_bound(tfcm, session.compute_baseline(config))
+    except DoqkdError:
+        return None
+
+
+class TestSweepOverlap:
+    """sweep runs its grid on a worker thread while this thread simulates
+    the baseline. The rows are those of the steps run in turn, whichever
+    side ends first; a failure on one side stops or discards the other and
+    leaves no thread behind."""
+
+    @pytest.fixture(scope="class")
+    def expected(self, mini):
+        cfg, tags, _ = mini
+        formats = grid_formats(*SMALL_GRID)
+        with_chi = per_point_rows(cfg, tags, formats, sequential_chi(cfg, tags))
+        assert all(r.secret_rate_bps is not None for r in with_chi)
+        return {"chi": dq.SweepTable(with_chi).to_csv(),
+                "none": dq.SweepTable(per_point_rows(cfg, tags, formats, None)).to_csv()}
+
+    @pytest.mark.parametrize("slow", ["compute_baseline", "_key_offsets"])
+    def test_csv_independent_of_finish_order(self, mini, expected, monkeypatch, slow):
+        cfg, tags, _ = mini
+        step = getattr(session, slow)
+
+        def late(*args):
+            time.sleep(0.2)
+            return step(*args)
+
+        monkeypatch.setattr(session, slow, late)
+        threads = threading.active_count()
+        assert sweep(cfg, *SMALL_GRID, tags=tags).to_csv() == expected["chi"]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", ["compute_baseline", "analyze_security",
+                                         "holevo_bound"])
+    def test_estimation_error_leaves_rows_without_bound(self, mini, expected,
+                                                        monkeypatch, failing):
+        cfg, tags, _ = mini
+
+        def fail(*args):
+            raise EstimationError("injected")
+
+        monkeypatch.setattr(session, failing, fail)
+        threads = threading.active_count()
+        assert sweep(cfg, *SMALL_GRID, tags=tags).to_csv() == expected["none"]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", ["compute_baseline", "analyze_security"])
+    def test_other_errors_propagate(self, mini, monkeypatch, failing):
+        cfg, tags, _ = mini
+
+        def fail(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(session, failing, fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            sweep(cfg, *SMALL_GRID, tags=tags)
+        assert threading.active_count() == threads
+
+    # a grid failure is raised; without the session's estimate, the rows
+    # carry no bound. Either way the baseline is not needed any more
+    @pytest.mark.parametrize("failing, error", [("_key_offsets", RuntimeError),
+                                                ("analyze_security", EstimationError)])
+    def test_failure_stops_the_baseline(self, mini, expected, monkeypatch, failing,
+                                        error):
+        cfg, tags, _ = mini
+        cfg = dataclasses.replace(cfg, baseline_duration_s=5.0)  # 21 windows
+        drawn = BaselineWindows(monkeypatch)
+
+        def fail(*args):
+            drawn.fail()
+            raise error("injected")
+
+        monkeypatch.setattr(session, failing, fail)
+        threads = threading.active_count()
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="injected"):
+                sweep(cfg, *SMALL_GRID, tags=tags)
+        else:
+            assert sweep(cfg, *SMALL_GRID, tags=tags).to_csv() == expected["none"]
+        assert drawn.before >= 1 and drawn.after <= 2
+        assert threading.active_count() == threads
+
+    def test_simulated_dataset(self):
+        cfg = tiny_cfg()
+        cfg.channel = dataclasses.replace(cfg.channel, propagation_delay_ps=5 * 7680)
+        tags = align_bob(dq.simulate_session(cfg), cfg.channel.propagation_delay_ps)
+        rows = per_point_rows(cfg, tags, grid_formats(*SMALL_GRID),
+                              sequential_chi(cfg, tags))
+        assert rows[0].secret_rate_bps is not None
+        threads = threading.active_count()
+        assert sweep(cfg, *SMALL_GRID).rows == rows
+        assert threading.active_count() == threads
 
 
 def property_tags(seed, n_a, n_b, span_ps, dur_a, dur_b):

@@ -119,6 +119,29 @@ class TestHistogramOracle:
             h.counts, reference_histogram(ta, tb, 30, -600, 600))
 
 
+class TestWideRange:
+    """Many rounds over a wide range: the rounds' bin indices are counted in
+    few passes over the counts, not one pass each."""
+
+    def test_many_rounds_over_a_million_bins(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        ta, tb = (np.sort(rng.integers(0, 1 << 19, 300)) for _ in range(2))
+        # 2**20 bins of 1 ps: every pair counts, in one round per b-tag
+        lo, hi = -(1 << 19), 1 << 19
+        passes, bincount = [], np.bincount
+
+        def counted(x, *args, **kwargs):
+            passes.append(x.size)
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        h = coincidence_histogram(stream(ta), stream(tb, Channel.T2), 1, (lo, hi))
+        monkeypatch.undo()
+        assert h.total == ta.size * tb.size
+        assert len(passes) == 1
+        np.testing.assert_array_equal(h.counts, reference_histogram(ta, tb, 1, lo, hi))
+
+
 def rebin(h, factor):
     """Coarsen a histogram by an integer factor (the bin count must divide)."""
     return CoincidenceHistogram(h.bin_width * factor, h.offset_min, h.offset_max,
