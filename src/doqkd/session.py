@@ -36,9 +36,8 @@ from .security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
                        estimate_tfcm, excess_noise, gaussian_time_information,
                        holevo_bound, mutual_information, secret_fraction,
                        shannon_info)
-from .sifting import (FrameFormat, common_offsets, match_bins, pack_symbols,
-                      qber, run_sifting, security_mask, single_events,
-                      split_security_fraction)
+from .sifting import (FrameFormat, FrameNeighbours, match_bins, pack_symbols,
+                      qber, run_sifting, security_mask, split_security_fraction)
 from .simulate import (CHANNELS, SessionTags, SimConfig, simulate_session,
                        simulate_windows)
 from .timetags import (Channel, CoincidenceHistogram, TagStream, coincidence_histogram,
@@ -437,15 +436,13 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def _key_offsets(tags: SessionTags, config: SimConfig, fmt: FrameFormat
+def _key_offsets(neighbours: FrameNeighbours, config: SimConfig, fmt: FrameFormat
                  ) -> tuple[np.ndarray, np.ndarray]:
     """In-frame offsets of the key-side frames single on both sides; depends
     on ``fmt`` only through its frame width. The split is keyed on the frame,
-    so the unsplit streams are sifted and only the common frames hashed."""
+    so the common frames are found unsplit, from the sweep's one search."""
     width = fmt.frame_width_ps
-    fa, ta, _ = single_events(tags.t1, width)
-    fb, tb, _ = single_events(tags.t2, width)
-    common, off_a, off_b = common_offsets(fa, ta, fb, tb, width)
+    common, off_a, off_b = neighbours.common_offsets(width)
     key = np.flatnonzero(~security_mask(common * width, config.security_fraction,
                                         split_seed(config), fmt))
     return off_a[key], off_b[key]
@@ -503,12 +500,13 @@ def _sweep_grid(tags: SessionTags | None, config: SimConfig,
         by_width: dict[int, list[int]] = {}
         for k, fmt in enumerate(formats):
             by_width.setdefault(fmt.frame_width_ps, []).append(k)
-        t1, t2, widest = tags.t1.times, tags.t2.times, max(by_width)
-        tags = SessionTags(tags.t1.select(_near(t1, t2, widest)), tags.f1,
-                           tags.t2.select(_near(t2, t1, widest)), tags.f2)
+        t1, t2, tags, widest = tags.t1, tags.t2, None, max(by_width)  # drops F1, F2
+        neighbours = FrameNeighbours(t1.select(_near(t1.times, t2.times, widest)),
+                                     t2.select(_near(t2.times, t1.times, widest)))
+        del t1, t2
         points = [None] * len(formats)
         for members in by_width.values():
-            off_a, off_b = _key_offsets(tags, config, formats[members[0]])
+            off_a, off_b = _key_offsets(neighbours, config, formats[members[0]])
             for k in members:
                 points[k] = _grid_point(formats[k], off_a, off_b, estimate is not None)
         return estimate, points
@@ -522,21 +520,20 @@ def sweep(config: SimConfig,
           i_list: tuple[int, ...] = DEFAULT_I_GRID,
           n_list: tuple[int, ...] = DEFAULT_N_GRID,
           tags: SessionTags | None = None) -> SweepTable:
-    """Re-sift one simulated dataset over the whole format grid.
+    """Sift one simulated dataset over the whole format grid.
 
-    Tags are generated once per seed and re-split/re-sifted per grid point,
-    so curves isolate format effects from Monte-Carlo noise. T1 and T2 first
-    keep only the tags strictly closer than the grid's widest frame to a tag
-    of the other stream. That drops no tag of a frame both streams reach, and
-    keeps each stream's duration, so no kept tag's frame turns partial: the
-    rows are unchanged. Grid points with equal frame width share one split,
-    single-event and intersection pass; each point then only splits the
-    common frames' offsets into slot and bin. The secret-rate column combines
-    per-point empirical information with the session-level eavesdropper bound
-    at a nominal reconciliation efficiency; it is a planning figure, not a
-    per-point reconciliation run. The grid runs on a worker thread while
-    this thread simulates the back-to-back baseline behind that bound; the
-    bound is applied to the rows once both are done. A failure on the grid's
+    Tags are generated once per seed, so curves isolate format effects from
+    Monte-Carlo noise. T1 and T2 first keep only the tags strictly closer
+    than the grid's widest frame to a tag of the other stream: that drops no
+    tag of a frame both reach and keeps the durations, so the rows are those
+    of the whole streams. One search then places each T2 tag among the T1
+    tags (``FrameNeighbours``); each frame width finds its common frames by
+    comparisons alone, and each point only splits their offsets into slot
+    and bin. The secret-rate column combines per-point empirical information
+    with the session-level eavesdropper bound at a nominal reconciliation
+    efficiency: a planning figure, not a per-point reconciliation run. The
+    grid runs on a worker thread while this thread simulates the baseline
+    behind that bound, applied once both are done. A failure on the grid's
     side stops the baseline before its next window and is raised; a
     ``DoqkdError`` from the session's estimate, the baseline or the bound
     leaves the rows without δI and secret rate.

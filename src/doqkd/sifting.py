@@ -92,6 +92,39 @@ def common_offsets(frames_a: np.ndarray, times_a: np.ndarray,
     return common, times_a[ia[ib]] - start, times_b[ib] - start
 
 
+class FrameNeighbours:
+    """The many-widths form of ``single_events`` and ``common_offsets``: one
+    search keeps, per Bob tag, its uint64 gaps (>= 2**63 if missing) to the
+    previous and next tag of its stream and to the two Alice tags on each
+    side. A tag ``r`` ps into a frame of width ``w`` shares it with an earlier
+    tag whose gap is at most ``r``, and a later one whose gap is below ``w - r``."""
+
+    def __init__(self, alice: TagStream, bob: TagStream):
+        t = self._t = bob.times.view(np.uint64)
+        a = np.concatenate(([2**63] * 2, alice.times.view(np.uint64), [2**64 - 1] * 2))
+        j = np.searchsorted(alice.times, bob.times) + 2
+        self._gaps_a = [t - a[j - 1], t - a[j - 2], a[j] - t, a[j + 1] - t]
+        self._gaps_b = np.diff(t, prepend=2**63, append=2**64 - 1)  # k's: [k], [k + 1]
+        # _complete_frames reads only a stream's duration and last tag
+        self._ends = [TagStream(s.times[-1:].copy(), s.channel, s.duration_ps)
+                      for s in (alice, bob)]
+
+    def common_offsets(self, frame_width_ps: int) -> tuple[np.ndarray, ...]:
+        """``common_offsets`` over both streams' ``single_events`` at this width."""
+        w, g = frame_width_ps, self._gaps_b
+        end = min(_complete_frames(s, w) for s in self._ends) * w
+        # end < 2**64; searchsorted compares a Python int above int64 in float64
+        t = self._t[:np.searchsorted(self._t, np.uint64(end))]
+        r = t - t // w * w
+        wr, (p1, p2, n1, n2) = w - r, (x[:t.size] for x in self._gaps_a)
+        a1 = p1 <= r
+        # alone in a frame that holds one Alice tag, whose outer neighbour is out
+        k = np.flatnonzero((g[:t.size] > r) & (g[1:t.size + 1] >= wr)
+                           & (a1 ^ (n1 < wr)) & ~((p2 <= r) | (n2 < wr)))
+        off_a = np.where(a1[k], r[k] - p1[k], r[k] + n1[k])
+        return tuple(x.view(np.int64) for x in (t[k] // w, off_a, r[k]))
+
+
 def match_bins(offsets_a: np.ndarray, offsets_b: np.ndarray, fmt: FrameFormat
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(Bob's bins, bins-agree mask, Alice's slots, Bob's slots) over common

@@ -8,8 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from doqkd.errors import ConfigError, ProtocolAbort
-from doqkd.sifting import (FrameFormat, match_bins, pack_symbols, qber,
-                           run_sifting, security_mask, single_events,
+from doqkd.sifting import (FrameFormat, FrameNeighbours, common_offsets,
+                           match_bins, pack_symbols, qber, run_sifting,
+                           security_mask, single_events,
                            split_security_fraction)
 from doqkd.timetags import Channel, TagStream
 
@@ -153,6 +154,69 @@ class TestSingleEventFrames:
             assert b == (rem % fmt.slot_width_ps) // fmt.bin_width_ps
 
 
+INT64_MAX = 2**63 - 1
+TOP_WIDTHS = [2**62, INT64_MAX - 1, INT64_MAX]
+
+
+def neighbour_tags(times, channel, duration):
+    return TagStream(np.array(sorted(times), np.int64), channel, duration)
+
+
+class TestFrameNeighbours:
+    """The many-widths form against ``single_events`` + ``common_offsets``
+    on each width of a grid, arrays and dtypes alike."""
+
+    @given(a=st.lists(st.integers(0, 120), max_size=40),
+           b=st.lists(st.integers(0, 120), max_size=40),
+           # the last-tag rule, part of the span, all of it
+           dur_a=st.sampled_from([0, 60, 121]),
+           dur_b=st.sampled_from([0, 60, 121]),
+           widths=st.lists(st.integers(1, 150) | st.sampled_from(TOP_WIDTHS),
+                           min_size=1, max_size=6, unique=True))
+    # ties within each stream, and Bob tags equal to Alice tags
+    @example(a=[5, 5, 9, 20, 31, 31, 60], b=[5, 9, 9, 20, 31, 44], dur_a=0,
+             dur_b=0, widths=[1, 2, 4, 10, 16])
+    # two Alice tags in a Bob tag's frame, both before it or both after it
+    @example(a=[1, 2, 14, 17, 25], b=[3, 13, 24], dur_a=0, dur_b=0,
+             widths=[5, 10])
+    # a tag's next one in its stream opens the next frame
+    @example(a=[3, 12], b=[4, 10], dur_a=0, dur_b=0, widths=[5, 10])
+    # an empty side
+    @example(a=[], b=[3, 7, 40], dur_a=0, dur_b=121, widths=[1, 8])
+    @example(a=[3, 7, 40], b=[], dur_a=121, dur_b=0, widths=[1, 8])
+    # Bob's stream ends before Alice's, by duration and by its last tag;
+    # then equal durations
+    @example(a=[2, 11, 21, 33, 47], b=[3, 12, 22, 34, 46], dur_a=0, dur_b=25,
+             widths=[5, 10, 12])
+    @example(a=[2, 11, 21, 33, 47], b=[3, 12, 22], dur_a=121, dur_b=0,
+             widths=[5, 10, 12])
+    @example(a=[2, 11, 21, 33, 47], b=[3, 12, 22, 34, 46], dur_a=60,
+             dur_b=60, widths=[5, 10, 12])
+    # a frame wider than the session keeps none
+    @example(a=[1, 50, 100], b=[2, 51, 101], dur_a=121, dur_b=121,
+             widths=[122, 150, 2**62])
+    # times and widths at the top of int64: a frame's end does not fit, and
+    # neighbours are missing on either side
+    @example(a=[0, INT64_MAX - 3, INT64_MAX - 1], b=[1, INT64_MAX - 2, INT64_MAX],
+             dur_a=0, dur_b=0, widths=[*TOP_WIDTHS, INT64_MAX - 2])
+    @example(a=[INT64_MAX], b=[INT64_MAX], dur_a=0, dur_b=0,
+             widths=[INT64_MAX, INT64_MAX - 1])
+    @example(a=[INT64_MAX - 5, INT64_MAX - 1], b=[INT64_MAX - 4, INT64_MAX],
+             dur_a=INT64_MAX, dur_b=INT64_MAX, widths=[1, 3, 7, *TOP_WIDTHS[1:]])
+    def test_matches_single_events_and_common_offsets(self, a, b, dur_a, dur_b,
+                                                      widths):
+        alice = neighbour_tags(a, Channel.T1, dur_a)
+        bob = neighbour_tags(b, Channel.T2, dur_b)
+        neighbours = FrameNeighbours(alice, bob)
+        for w in widths:
+            fa, ta, _ = single_events(alice, w)
+            fb, tb, _ = single_events(bob, w)
+            want = common_offsets(fa, ta, fb, tb, w)
+            got = neighbours.common_offsets(w)
+            assert [(x.dtype, x.tolist()) for x in got] \
+                == [(x.dtype, x.tolist()) for x in want], w
+
+
 class TestSplit:
     def test_bad_fraction(self):
         s = tstream([1, 2, 3])
@@ -219,7 +283,6 @@ def allocating_mask(times, fraction, seed, fmt):
     return splitmix64(frames ^ salt) < np.uint64(int(fraction * 2.0**64))
 
 
-INT64_MAX = 2**63 - 1
 
 
 class TestSecurityMaskInPlace:
