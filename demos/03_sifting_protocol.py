@@ -9,6 +9,7 @@ import numpy as np
 
 import doqkd as dq
 from doqkd.session import split_seed
+from doqkd.sifting import security_mask
 
 cfg = dq.paper_default_config()
 cfg.duration_s = 0.5
@@ -18,12 +19,11 @@ fmt = dq.FrameFormat(n_bits=4, bins_per_slot=3, bin_width_ps=160)
 print(f"format: {fmt.slots_per_frame} slots x {fmt.bins_per_slot} bins x "
       f"{fmt.bin_width_ps} ps -> frame {fmt.frame_width_ps} ps")
 
-# both parties split off the security fraction with the same frame-keyed hash
+# both parties mark the security fraction with the same frame-keyed hash,
+# and the round leaves the marked frames out
 seed = split_seed(cfg)
-_, key_t1 = dq.split_security_fraction(tags.t1, cfg.security_fraction, seed, fmt)
-_, key_t2 = dq.split_security_fraction(tags.t2, cfg.security_fraction, seed, fmt)
-
-res = dq.run_sifting(key_t1, key_t2, fmt)
+masks = tuple(security_mask(s.times, cfg.security_fraction, seed, fmt) for s in (tags.t1, tags.t2))
+res = dq.run_sifting(tags.t1, tags.t2, fmt, security=masks)
 q = dq.qber(res.key_a, res.key_b)
 print(f"\nkept frames:            {res.kept_frames}")
 print(f"bin mismatches dropped: {res.discarded_bin_mismatch}")

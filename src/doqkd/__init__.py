@@ -19,8 +19,7 @@ from .security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
                        shannon_info)
 from .session import (OptimizeEntry, SessionReport, SweepRow, SweepTable,
                       compute_baseline, optimize, run_experiment, sweep)
-from .sifting import (FrameFormat, SiftResult, pack_symbols, qber, run_sifting,
-                      split_security_fraction)
+from .sifting import FrameFormat, SiftResult, pack_symbols, qber, run_sifting
 from .simulate import (ChannelModel, DetectorModel, DispersiveBasis, SessionTags,
                        SimConfig, SourceModel, dispersive_shift,
                        paper_default_config, simulate_session)

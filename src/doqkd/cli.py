@@ -115,10 +115,11 @@ def cmd_analyze(args, out: Path) -> int:
 
 
 def cmd_sift(args, out: Path) -> int:
-    fmt = _parse_format(args.format)
-    fmt_b = _parse_format(args.format_b) if args.format_b else None
+    fmt, fmt_b = (_parse_format(f) for f in (args.format, args.format_b or args.format))
+    if fmt_b != fmt:
+        raise ProtocolAbort(f"frame format mismatch: {fmt} vs {fmt_b}")
     t1, t2 = _read_streams(args.indir, (Channel.T1, Channel.T2))
-    result = run_sifting(t1, t2, fmt, fmt_b)
+    result = run_sifting(t1, t2, fmt)
     (out / "key_a.bin").write_bytes(pack_symbols(result.key_a, fmt.n_bits))
     (out / "key_b.bin").write_bytes(pack_symbols(result.key_b, fmt.n_bits))
     (out / "transcript.bin").write_bytes(result.transcript_bytes())

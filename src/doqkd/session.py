@@ -1,9 +1,9 @@
 """End-to-end session orchestration, parameter sweeps, and format optimization.
 
 The pipeline: simulate -> clock-align -> ``process_session``, which takes
-aligned tags, simulated or recorded, through the security/key split -> bin
-sifting of the key subset -> empirical information -> syndrome
-reconciliation on one worker thread, beside the security subset's
+aligned tags, simulated or recorded, through bin sifting of T1 and T2 with
+their frame-keyed security frames left out -> empirical information ->
+syndrome reconciliation on one worker thread, beside the security subset's
 histograms and the covariance analysis against the baseline -> privacy
 amplification. ``run_experiment`` simulates the baseline on a worker thread
 beside the session, one 0.25 s window at a time, and ``sweep`` simulates it
@@ -36,6 +36,7 @@ from .security import (Baseline, FourBasisHistograms, SecurityReport, Tfcm,
                        estimate_tfcm, excess_noise, gaussian_time_information,
                        holevo_bound, mutual_information, secret_fraction,
                        shannon_info)
+# the benchmark's recorded workload and its tracer read split_security_fraction here
 from .sifting import (FrameFormat, FrameNeighbours, match_bins, pack_symbols,
                       qber, run_sifting, security_mask, split_security_fraction)
 from .simulate import (CHANNELS, SessionTags, SimConfig, simulate_session,
@@ -295,24 +296,23 @@ def process_session(tags: SessionTags, config: SimConfig,
                     baseline: Callable[[], Baseline]) -> SessionReport:
     """Turn one session's clock-aligned tags into a key and its report.
 
-    After the split and sifting, one worker thread decodes while this
-    thread estimates the security subset's covariances and calls
-    ``baseline``. T1 and T2 go after the split, so a caller that keeps no
-    reference to the tags lets the later steps reuse their memory.
+    T1 and T2 are sifted whole, with their security frames (hashed once)
+    left out. One worker thread then decodes while this thread estimates
+    the security subset's covariances and calls ``baseline``. A caller that
+    keeps no reference to the tags frees T1 and T2 after sifting.
     """
     t_start = time.monotonic()
     fmt = session_format(config)
     singles = tags.singles_rates_hz()
 
     with _stage("security"):
-        seed = split_seed(config)
-        (sec_t1, key_t1), (sec_t2, key_t2) = (split_security_fraction(
-            s, config.security_fraction, seed, fmt) for s in (tags.t1, tags.t2))
-        sec = SessionTags(sec_t1, tags.f1, sec_t2, tags.f2)
-        del tags, sec_t1, sec_t2
+        t1, t2, seed = tags.t1, tags.t2, split_seed(config)
+        masks = tuple(security_mask(s.times, config.security_fraction, seed, fmt) for s in (t1, t2))
+        sec = SessionTags(t1.select(masks[0]), tags.f1, t2.select(masks[1]), tags.f2)
+        del tags
 
     with _stage("sift"):
-        sift = run_sifting(key_t1, key_t2, fmt)
+        sift = run_sifting(t1, t2, fmt, security=masks)
         raw_rate = fmt.n_bits * sift.kept_frames / config.duration_s
         if sift.kept_frames:
             qber_sym = qber(sift.key_a, sift.key_b)
@@ -329,7 +329,7 @@ def process_session(tags: SessionTags, config: SimConfig,
             if sift.kept_frames else 0.0)
 
     # a security failure is reported over a decoding failure, as in turn
-    del key_t1, key_t2
+    del t1, t2, masks
     with ThreadPoolExecutor(1) as pool:
         reconciling = pool.submit(reconcile_key, a_bits, b_bits,
                                   block_length=config.block_length,

@@ -7,7 +7,8 @@ jitter-smeared events; slot numbers never appear on the classical channel.
 ``run_sifting`` runs one fixed round of three messages (FRAMES, BINS,
 FRAMES) and keeps them as arrays on its ``SiftResult``;
 ``SiftResult.transcript_bytes`` writes them as ``sift-v1``, which nothing
-in the package reads back.
+in the package reads back. Given each stream's frame-keyed
+``security_mask``, the round leaves the security frames out of whole streams.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolAbort
+from .errors import ConfigError
 from .timetags import Basis, TagStream
 
 
@@ -62,19 +63,21 @@ def _complete_frames(tags: TagStream, frame_width_ps: int) -> int:
     return int(tags.times[-1]) // frame_width_ps + 1
 
 
-def single_events(tags: TagStream, frame_width_ps: int
+def single_events(tags: TagStream, frame_width_ps: int, security: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(frames, times, multi_frame_count) of the tags alone in their frame;
-    the trailing partial frame is dropped. Single pass over the sorted stream."""
-    t = tags.times
-    # sorted stream: the partial-frame tail is a suffix
-    t = t[:np.searchsorted(t, _complete_frames(tags, frame_width_ps) * frame_width_ps)]
-    frames = t // frame_width_ps
+    """(frames, times, multi_frame_count) of the tags alone in their frame,
+    but for the trailing partial frame and the frames that the frame-keyed
+    mask ``security`` marks. Single pass over the sorted stream."""
+    t, w = tags.times, frame_width_ps
+    # sorted: the partial-frame tail is a suffix; a Python int past int64 compares in float64
+    t = t[:np.searchsorted(t.view(np.uint64), np.uint64(_complete_frames(tags, w) * w))]
+    frames = t // w
     # first[k]: tag k opens a frame's run; first[size] closes the last run
     first = np.ones(frames.size + 1, bool)
     first[1:-1] = frames[1:] != frames[:-1]
-    single = np.flatnonzero(first[:-1] & first[1:])
-    return frames[single], t[single], int(np.count_nonzero(first[:-1] & ~first[1:]))
+    opens = first[:-1] if security is None else first[:-1] & ~security[:t.size]
+    single = np.flatnonzero(opens & first[1:])
+    return frames[single], t[single], int(np.count_nonzero(opens & ~first[1:]))
 
 
 def common_offsets(frames_a: np.ndarray, times_a: np.ndarray,
@@ -174,7 +177,8 @@ def security_mask(times: np.ndarray, fraction: float, seed: int,
 
 def split_security_fraction(tags: TagStream, fraction: float, seed: int,
                             fmt: FrameFormat) -> tuple[TagStream, TagStream]:
-    """Split one stream into disjoint (security, key) parts, order-preserving."""
+    """Split one stream into disjoint (security, key) parts, order-preserving;
+    the tests' sifting reference and the benchmark's recorded workload read it."""
     sec = security_mask(tags.times, fraction, seed, fmt)
     return tags.select(sec), tags.select(~sec)
 
@@ -229,24 +233,24 @@ class SiftResult:
 
 
 def run_sifting(alice: TagStream, bob: TagStream, fmt: FrameFormat,
-                fmt_b: FrameFormat | None = None) -> SiftResult:
+                security: tuple[np.ndarray, np.ndarray] | None = None) -> SiftResult:
     """Run the three-message bin-sifting round between two time-basis streams.
 
     Message 1 (Alice): her single-event frame numbers. Message 2 (Bob): the
     frame intersection together with his bin numbers. Message 3 (Alice): the
     surviving frames where both bins agree. Key symbols are the slot numbers
-    of surviving frames, in frame order; slots are never transmitted. A Bob
-    format ``fmt_b`` other than ``fmt`` raises ProtocolAbort before sifting.
+    of surviving frames, in frame order; slots are never transmitted. The
+    streams' ``security_mask``s at ``fmt``, as ``security``, leave the
+    security frames out of all three messages and the multi-event count.
     """
     for s in (alice, bob):
         if s.basis is Basis.FREQ:
             raise ValueError("sifting takes time-basis streams only")
-    if fmt_b is not None and fmt_b != fmt:
-        raise ProtocolAbort(f"frame format mismatch: {fmt} vs {fmt_b}")
 
     width = fmt.frame_width_ps
-    fa, ta, multi_a = single_events(alice, width)
-    fb, tb, multi_b = single_events(bob, width)
+    mask_a, mask_b = security or (None, None)
+    fa, ta, multi_a = single_events(alice, width, mask_a)
+    fb, tb, multi_b = single_events(bob, width, mask_b)
     common, off_a, off_b = common_offsets(fa, ta, fb, tb, width)
     bins_b, match, key_a, key_b = match_bins(off_a, off_b, fmt)
     return SiftResult(key_a, key_b, fa, common, bins_b.astype(np.uint8),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from doqkd.errors import ConfigError, ProtocolAbort
+from doqkd.errors import ConfigError
 from doqkd.sifting import (FrameFormat, FrameNeighbours, common_offsets,
                            match_bins, pack_symbols, qber, run_sifting,
                            security_mask, single_events,
@@ -203,6 +203,8 @@ class TestFrameNeighbours:
              widths=[INT64_MAX, INT64_MAX - 1])
     @example(a=[INT64_MAX - 5, INT64_MAX - 1], b=[INT64_MAX - 4, INT64_MAX],
              dur_a=INT64_MAX, dur_b=INT64_MAX, widths=[1, 3, 7, *TOP_WIDTHS[1:]])
+    # a lone tag whose frame ends just past int64
+    @example(a=[INT64_MAX - 1], b=[INT64_MAX - 1], dur_a=0, dur_b=0, widths=[2, 3])
     def test_matches_single_events_and_common_offsets(self, a, b, dur_a, dur_b,
                                                       widths):
         alice = neighbour_tags(a, Channel.T1, dur_a)
@@ -328,11 +330,13 @@ class TestRunSifting:
         with pytest.raises(ValueError):
             run_sifting(f, t, FrameFormat(1, 1, 10))
 
-    def test_format_mismatch_aborts(self):
-        a = tstream([10], Channel.T1, duration=1000)
-        b = tstream([12], Channel.T2, duration=1000)
-        with pytest.raises(ProtocolAbort):
-            run_sifting(a, b, FrameFormat(2, 2, 50), FrameFormat(2, 2, 60))
+    def test_lone_tags_at_int64_top(self):
+        # the frame of the tags ends past int64; it is whole at duration 0
+        t = [INT64_MAX - 1]
+        res = run_sifting(tstream(t, duration=0), tstream(t, Channel.T2, duration=0),
+                          FrameFormat(1, 1, 1))
+        assert res.agreed_frames.tolist() == [(INT64_MAX - 1) // 2]
+        assert res.key_a.tolist() == res.key_b.tolist() == [0]
 
     def test_no_slot_numbers_in_transcript(self):
         rng = np.random.default_rng(12)
@@ -381,6 +385,60 @@ class TestRunSifting:
                           FrameFormat(1, 2, 100))
         with pytest.raises(ValueError):
             dataclasses.replace(res, key_b=res.key_b[:0])
+
+
+# at FrameFormat(1, 5, 1), seed 1 and fraction 0.5, frames 0, 6-9, 11, 12, 14,
+# 16 and 17 go to security; frames 1-5, 10, 13, 15, 18 and 19 to the key
+FILTER_A = [3, 3, 12, 12, 24, 31, 38, 41, 52, 61, 71, 75, 101, 111]
+FILTER_B = [3, 12, 24, 24, 33, 41, 57, 61, 72, 103, 113]
+
+
+class TestSecurityFilter:
+    """``run_sifting`` given the security masks against ``run_sifting`` on
+    the key parts that ``split_security_fraction`` leaves."""
+
+    @given(a=st.lists(st.integers(0, 200), max_size=40),
+           b=st.lists(st.integers(0, 200), max_size=40),
+           # the last-tag rule, part of the span, all of it
+           dur_a=st.sampled_from([0, 35, 100, 201]),
+           dur_b=st.sampled_from([0, 35, 100, 201]),
+           fmt=st.builds(FrameFormat, st.integers(1, 3), st.integers(1, 3),
+                         st.integers(1, 8)),
+           fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**64 - 1))
+    # ties, multi-event frames on both sides of the split, bin mismatches
+    @example(a=FILTER_A, b=FILTER_B, dur_a=0, dur_b=0, fmt=FrameFormat(1, 5, 1),
+             fraction=0.5, seed=1)
+    @example(a=FILTER_A, b=FILTER_B, dur_a=35, dur_b=201, fmt=FrameFormat(1, 5, 1),
+             fraction=0.5, seed=1)
+    # nearly every frame to the key, and to security
+    @example(a=FILTER_A, b=FILTER_B, dur_a=0, dur_b=0, fmt=FrameFormat(1, 5, 1),
+             fraction=0.01, seed=1)
+    @example(a=FILTER_A, b=FILTER_B, dur_a=0, dur_b=0, fmt=FrameFormat(1, 5, 1),
+             fraction=0.99, seed=1)
+    # at duration 0 the last tag is a security tag, its frame partial or not
+    @example(a=[12, 24, 61], b=[12, 24, 66], dur_a=0, dur_b=0,
+             fmt=FrameFormat(1, 5, 1), fraction=0.5, seed=1)
+    @example(a=[12, 44, 171], b=[13, 44, 178, 179], dur_a=0, dur_b=175,
+             fmt=FrameFormat(1, 5, 1), fraction=0.5, seed=1)
+    # an empty side
+    @example(a=[], b=[12, 24, 61], dur_a=0, dur_b=0, fmt=FrameFormat(1, 5, 1),
+             fraction=0.5, seed=1)
+    @example(a=[12, 24, 61], b=[], dur_a=201, dur_b=0, fmt=FrameFormat(1, 5, 1),
+             fraction=0.5, seed=1)
+    def test_equals_sifting_the_key_parts(self, a, b, dur_a, dur_b, fmt, fraction,
+                                          seed):
+        alice = neighbour_tags(a, Channel.T1, dur_a)
+        bob = neighbour_tags(b, Channel.T2, dur_b)
+        masks = tuple(security_mask(s.times, fraction, seed, fmt) for s in (alice, bob))
+        got = run_sifting(alice, bob, fmt, security=masks)
+        want = run_sifting(*(split_security_fraction(s, fraction, seed, fmt)[1]
+                             for s in (alice, bob)), fmt)
+        assert got.transcript_bytes() == want.transcript_bytes()
+        for k in ("key_a", "key_b"):
+            assert getattr(got, k).tobytes() == getattr(want, k).tobytes()
+            assert getattr(got, k).dtype == getattr(want, k).dtype
+        for k in ("kept_frames", "discarded_bin_mismatch", "discarded_multi_event"):
+            assert getattr(got, k) == getattr(want, k), k
 
 
 class TestQber:
