@@ -12,6 +12,12 @@ third fewer iterations than updating every check at once (flooding). The
 decoder repeats the floating-point operations of the edge-order loop in
 ``tests/reference_decoder.py``, its test oracle, so both return the same
 bits after the same number of iterations.
+
+The oracle's clips that cannot bind are left out: tanh(y) rounds to +-1.0
+for |y| >= 20, so clipping totals to +-``LLR_MAX`` first changes no t;
+|2 arctanh(1 - 1e-12)| = 28.3 is inside the message clip; and exp() is never
+negative, so a sign times min(exp, 1 - eps) is the extrinsic clip of the sign
+times exp. The sign is applied after ``arctanh``, exactly, as it is odd.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from .errors import ReconciliationError
 
-LLR_MAX = 40.0
+LLR_MAX = 40.0  # the oracle's message clip, which cannot bind here (see above)
 _TANH_EPS = 1e-12
 _GROUPS = 4  # check groups per decoder iteration, updated in turn
 
@@ -237,33 +243,39 @@ def decode_syndrome(bits: np.ndarray, target_syndrome: np.ndarray, code: LdpcCod
     # per-edge state in check order: lr holds each edge's latest check message,
     # tot each variable's channel LLR plus the latest messages of its checks
     cs, vars_ = code._chk_starts, code._chk_var
-    # 2 on edges of checks with an even target parity, -2 on those with an odd one
-    flip = np.repeat((1.0 - 2.0 * s_err.astype(np.float64)) * 2.0, code._chk_deg)
     l_ch = math.log((1.0 - crossover_prior) / crossover_prior)
     tot = np.full(code.n, l_ch)
     lr = np.zeros(code.n_edges)
-    # contiguous check groups, each a slice of the check-ordered edges
+    # contiguous check groups: the variables and messages (views of lr) of the
+    # group's edges, and its checks' starts, degrees and target parities
     cut = np.arange(_GROUPS + 1) * code.m // _GROUPS
     ends = np.append(cs, code.n_edges)
-    groups = [(slice(ends[a], ends[b]), cs[a:b] - cs[a], code._chk_deg[a:b])
-              for a, b in zip(cut[:-1], cut[1:]) if a < b]
+    groups = [(vars_[ends[a]:ends[b]], lr[ends[a]:ends[b]], cs[a:b] - cs[a],
+               code._chk_deg[a:b], s_err[a:b]) for a, b in zip(cut[:-1], cut[1:]) if a < b]
+    # an edge's message is 2 arctanh of its extrinsic magnitude, times -1 when
+    # exactly one of its check's target parity and its extrinsic sign is odd
+    factor = np.array([2.0, -2.0])
+    # per-edge passes run in place, in scratch sized for the largest group
+    x, y = (np.empty(max(g[0].size for g in groups)) for _ in range(2))
 
     for it in range(1, max_iters + 1):
-        for sl, gs, deg in groups:
-            v = vars_[sl]
-            t = np.tanh(0.5 * np.clip(tot.take(v) - lr[sl], -LLR_MAX, LLR_MAX))
-            log_mag = np.log(np.clip(np.abs(t), _TANH_EPS, 1.0 - _TANH_EPS))
-            neg = (t < 0).view(np.uint8)
+        for v, old, gs, deg, parity in groups:
+            t = np.subtract(tot.take(v), old, out=x[:v.size])
+            t *= 0.5
+            neg = (np.tanh(t, out=t) < 0).view(np.uint8)
+            log_mag = np.abs(t, out=y[:v.size])
+            np.log(np.clip(log_mag, _TANH_EPS, 1.0 - _TANH_EPS, out=log_mag), out=log_mag)
             # extrinsic per edge: the check's total less the edge's own term
-            ext_log = np.repeat(np.add.reduceat(log_mag, gs), deg) - log_mag
-            ext_odd = np.repeat(np.bitwise_xor.reduceat(neg, gs), deg) ^ neg
-            ext = np.clip((1.0 - 2.0 * ext_odd) * np.exp(ext_log),
-                          -1.0 + _TANH_EPS, 1.0 - _TANH_EPS)
-            new = np.clip(flip[sl] * np.arctanh(ext), -LLR_MAX, LLR_MAX)
-            tot += np.bincount(v, new - lr[sl], minlength=code.n)
-            lr[sl] = new
+            ext = np.subtract(np.repeat(np.add.reduceat(log_mag, gs), deg), log_mag, out=t)
+            odd = np.repeat(np.bitwise_xor.reduceat(neg, gs) ^ parity, deg) ^ neg
+            new = np.arctanh(np.minimum(np.exp(ext, out=ext), 1.0 - _TANH_EPS, out=ext), out=ext)
+            new *= factor.take(odd)
+            tot += np.bincount(v, np.subtract(new, old, out=log_mag), minlength=code.n)
+            old[...] = new
 
         e_hat = (tot < 0).view(np.uint8)
-        if np.array_equal(np.bitwise_xor.reduceat(e_hat.take(vars_), cs), s_err):
+        # group by group: until the last iteration, the first group mostly fails
+        if all(np.array_equal(np.bitwise_xor.reduceat(e_hat.take(v), gs), parity)
+               for v, _, gs, _, parity in groups):
             return bits ^ e_hat, it
     return None, max_iters

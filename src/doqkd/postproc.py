@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,32 +44,31 @@ def efficiency(disclosed_bits: int, n: int, measured_ber: float) -> float:
     return min(beta, 1.0)
 
 
-# 64-bit CRC (ECMA-182 polynomial), used as the block verification hash
+# CRC-64/ECMA-182: MSB first, zero initial value, no final XOR
 _CRC64_POLY = 0x42F0E1EBA9EA3693
 
 
-def _crc64_table() -> np.ndarray:
-    table = np.zeros(256, np.uint64)
-    for i in range(256):
-        crc = i << 56
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC64_POLY) if crc & (1 << 63) else (crc << 1)
-            crc &= 0xFFFFFFFFFFFFFFFF
+@lru_cache(maxsize=4)
+def _crc64_bit_table(n_bits: int) -> np.ndarray:
+    """CRC of each single-bit block of ``n_bits`` bits, zero-padded to bytes.
+
+    The CRC is linear over GF(2), so a block's CRC is the XOR of the entries
+    of its set bits. The last bit's CRC is the polynomial; each bit before it
+    is followed by one more zero bit, which shifts the register once more.
+    """
+    table = np.empty(-(-n_bits // 8) * 8, np.uint64)
+    crc = _CRC64_POLY
+    for i in range(table.size - 1, -1, -1):
         table[i] = crc
-    return table
-
-
-_CRC64_TABLE = _crc64_table()
+        crc = ((crc << 1) ^ _CRC64_POLY if crc >> 63 else crc << 1) & 0xFFFFFFFFFFFFFFFF
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table[:n_bits]
 
 
 def verification_hash(bits: np.ndarray) -> int:
-    """64-bit polynomial hash of a bit block."""
-    data = np.packbits(np.asarray(bits, np.uint8))
-    crc = 0
-    table = _CRC64_TABLE
-    for byte in data.tobytes():
-        crc = (int(table[((crc >> 56) ^ byte) & 0xFF]) ^ ((crc << 8) & 0xFFFFFFFFFFFFFFFF))
-    return crc
+    """CRC-64/ECMA-182 of a bit block, packed MSB first into zero-padded bytes."""
+    bits = np.asarray(bits, np.uint8).ravel()
+    return int(np.bitwise_xor.reduce(_crc64_bit_table(bits.size)[bits != 0]))
 
 
 def select_rate(measured_ber: float, min_overhead: float = 1.25,
@@ -187,6 +187,18 @@ def reconcile_key(alice_bits: np.ndarray, bob_bits: np.ndarray, *,
     return outcome
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, a length the FFT factors well."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def privacy_amplify(bits: np.ndarray, out_len: int, seed: int) -> np.ndarray:
     """Toeplitz-hash compression over GF(2), deterministic in the seed.
 
@@ -202,8 +214,10 @@ def privacy_amplify(bits: np.ndarray, out_len: int, seed: int) -> np.ndarray:
         return np.empty(0, np.uint8)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, out_len)))
     diag = rng.integers(0, 2, n + out_len - 1).astype(np.float64)
-    # T[i, j] = diag[i - j + n - 1], so row i of T @ x is conv(diag, x)[n - 1 + i]
-    size = 1 << int(math.ceil(math.log2(2 * n + out_len)))
+    # T[i, j] = diag[i - j + n - 1], so row i of T @ x is conv(diag, x)[n - 1 + i];
+    # the linear convolution ends at 2n + out_len - 3, so at a circular length
+    # of n + out_len - 1 or more no wrapped term reaches the kept entries
+    size = _smooth_length(n + out_len - 1)
     fa = np.fft.rfft(diag, size)
     fb = np.fft.rfft(bits.astype(np.float64), size)
     conv = np.fft.irfft(fa * fb, size)

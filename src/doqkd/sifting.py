@@ -146,6 +146,7 @@ _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
 _SM_M2 = 0x94D049BB133111EB
 _U64 = 0xFFFFFFFFFFFFFFFF
+_SM_BLOCK = 1 << 15  # tags hashed per block
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -170,9 +171,16 @@ def security_mask(times: np.ndarray, fraction: float, seed: int,
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     salt = _splitmix64(np.array([seed & _U64], np.uint64))[0]
-    h = np.floor_divide(times, fmt.frame_width_ps, dtype=np.int64).view(np.uint64)
-    h ^= salt
-    return _splitmix64(h) < np.uint64(int(fraction * 2.0**64))
+    bound = np.uint64(int(fraction * 2.0**64))
+    # hashed a block at a time, so each block's passes stay in cache
+    mask = np.empty(times.size, bool)
+    h = np.empty(min(times.size, _SM_BLOCK), np.uint64)
+    for lo in range(0, times.size, _SM_BLOCK):
+        t = times[lo:lo + _SM_BLOCK]
+        np.floor_divide(t, fmt.frame_width_ps, out=h[:t.size].view(np.int64))
+        h[:t.size] ^= salt
+        np.less(_splitmix64(h[:t.size]), bound, out=mask[lo:lo + t.size])
+    return mask
 
 
 def split_security_fraction(tags: TagStream, fraction: float, seed: int,

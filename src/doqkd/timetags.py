@@ -160,6 +160,10 @@ def coincidence_histogram(a: TagStream, b: TagStream, bin_width: int,
 
     ta = a.times
     tb = b.times
+    # search the shorter stream into the longer: negated and reversed, b's
+    # tags before a's keep every offset t_b - t_a and both streams sorted
+    if ta.size > tb.size:
+        ta, tb = -tb[::-1], -ta[::-1]
     # one search finds each a-tag's first b-tag at or after t_a + lo; the
     # windows then step forward together, each round dropping the a-tags
     # whose next b-tag is at or past t_a + hi. A window holds a handful of

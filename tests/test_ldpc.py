@@ -186,6 +186,10 @@ class TestDecode:
              prior=0.02473069041738773, errors=8, max_iters=60, shuffle=False)
     @example(n=272, rate=0.75, code_seed=4264295185, block_seed=807028964,
              prior=0.024730690417387735, errors=8, max_iters=60, shuffle=False)
+    # a tiny prior: totals reach about +-200, far past the oracle's clip
+    # of +-40 before tanh, which binds on hundreds of edges
+    @example(n=256, rate=0.5, code_seed=1, block_seed=2, prior=1e-4,
+             errors=3, max_iters=60, shuffle=False)
     def test_matches_reference(self, n, rate, code_seed, block_seed, prior,
                                errors, max_iters, shuffle):
         m = int(round(n * (1.0 - rate)))
@@ -233,6 +237,35 @@ class TestDecode:
                 dec, _ = decode_syndrome(y, syndrome(x, code), code, p)
                 verified[rate, p] += dec is not None and np.array_equal(dec, x)
         assert all(verified[case] >= floor for case, floor in floors.items()), verified
+
+
+class TestNumpyFacts:
+    """The floating-point facts that let the decoder leave out the oracle's
+    clips that cannot bind, checked on this numpy build: its SIMD loops
+    treat an array's main body and its tail separately, so every length
+    from 1 to 64 is tried as well as long arrays."""
+
+    @staticmethod
+    def lengths(x):
+        return [x] + [x[:k] for k in range(1, 65)]
+
+    def test_tanh_saturates_from_20(self):
+        y = np.concatenate([np.linspace(20.0, 40.0, 200_001),
+                            np.geomspace(40.0, 1e308, 1001), [np.inf]])
+        for part in self.lengths(y):
+            assert (np.tanh(part) == 1.0).all()
+            assert (np.tanh(-part) == -1.0).all()
+
+    def test_arctanh_is_odd(self):
+        top = 1.0 - ldpc._TANH_EPS
+        x = np.concatenate([np.linspace(0.0, top, 1_000_001),
+                            top - np.arange(10_000) * np.spacing(top),
+                            np.geomspace(1e-300, 1e-3, 10_000)])
+        for part in self.lengths(x):
+            assert np.arctanh(-part).tobytes() == (-np.arctanh(part)).tobytes()
+
+    def test_largest_message_is_inside_the_clip(self):
+        assert 2.0 * np.arctanh(1.0 - ldpc._TANH_EPS) < ldpc.LLR_MAX
 
 
 def test_supported_rates_cover_spec_set():

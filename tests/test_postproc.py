@@ -12,6 +12,8 @@ from doqkd.postproc import (ReconciliationOutcome, binary_entropy, efficiency,
                             verification_hash)
 from doqkd.simulate import paper_default_config
 
+from reference_crc64 import reference_crc64
+
 
 def gray_decode_bits(bits: np.ndarray, n_bits: int) -> np.ndarray:
     """Inverse of ``gray_encode_symbols``: the round-trip oracle."""
@@ -161,6 +163,21 @@ class TestVerificationHash:
         assert verification_hash(bits) != h1
         assert 0 <= h1 < 2**64
 
+    @pytest.mark.parametrize("crc", [verification_hash, reference_crc64])
+    def test_catalogue_check_value(self, crc):
+        # CRC-64/ECMA-182's check value: the CRC of the ASCII bytes "123456789"
+        bits = np.unpackbits(np.frombuffer(b"123456789", np.uint8))
+        assert crc(bits) == 0x6C40DF5F0B497347
+
+    # the empty block, lengths that end inside a byte (the last one is
+    # zero-padded), and whole 16,384-bit reconciliation blocks
+    @pytest.mark.parametrize("n_bits", [0, 1, 7, 8, 9, 63, 65, 1001, 16383, 16384])
+    def test_matches_byte_table_oracle(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        for bits in (rng.integers(0, 2, n_bits).astype(np.uint8),
+                     np.ones(n_bits, np.uint8), np.zeros(n_bits, np.uint8)):
+            assert verification_hash(bits) == reference_crc64(bits)
+
 
 class TestPrivacyAmplify:
     def test_empty_output(self):
@@ -179,10 +196,15 @@ class TestPrivacyAmplify:
         with pytest.raises(ValueError):
             privacy_amplify(np.ones(5, np.uint8), 6, 1)
 
-    def test_matches_dense_toeplitz_oracle(self):
+    # the convolution's length is the smallest 5-smooth one >= n + out_len - 1:
+    # 419 -> 432; 1 and 300 (out_len == 1) are 5-smooth themselves; 513
+    # (out_len == n, odd) and 301 (odd n) are one above 512 and 300
+    @pytest.mark.parametrize("n, out_len", [(300, 120), (1, 1), (300, 1),
+                                            (257, 257), (201, 101), (250, 7)])
+    def test_matches_dense_toeplitz_oracle(self, n, out_len):
         # same seeded diagonal, explicit GF(2) matrix multiply
         rng_bits = np.random.default_rng(6)
-        n, out_len, seed = 300, 120, 7
+        seed = 7
         bits = rng_bits.integers(0, 2, n).astype(np.uint8)
         got = privacy_amplify(bits, out_len, seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed,

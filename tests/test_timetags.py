@@ -99,6 +99,10 @@ class TestHistogramOracle:
     @example(([5, 5, 9], [2, 5, 5, 9, 9, 12], 3, -3, 3))
     @example(([], [1, 2], 1, -2, 2))
     @example(([1, 2], [], 1, -2, 2))
+    # a longer than b, so the search runs from b into a: b-tags exactly at
+    # t_a + lo (counted) and t_a + hi (not), with ties on both sides
+    @example(([5, 5, 9, 9, 12, 20], [2, 9, 9, 12], 1, -3, 3))
+    @example(([0, 0, 4, 4, 7, 10, 10], [2, 6, 6, 16], 2, 2, 6))
     def test_matches_all_pairs(self, case):
         ta, tb, bin_width, lo, hi = case
         h = coincidence_histogram(stream(ta), stream(tb, Channel.T2),
