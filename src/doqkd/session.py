@@ -5,13 +5,12 @@ aligned tags, simulated or recorded, through bin sifting of T1 and T2 with
 their frame-keyed security frames left out -> empirical information ->
 syndrome reconciliation on one worker thread, beside the security subset's
 histograms and the covariance analysis against the baseline -> privacy
-amplification. ``run_experiment`` simulates the baseline on a worker thread
-beside the session, one 0.25 s window at a time, and ``sweep`` simulates it
-on the calling thread while its format grid runs on a worker; a run that
-fails stops its baseline before the next window. Everything derives from
-the session seed, so identical configurations produce byte-identical keys
-and (timing aside) byte-identical reports, whichever of the overlapped steps
-ends first.
+amplification. ``run_experiment`` and ``sweep`` both simulate the baseline
+on a worker thread, one 0.25 s window at a time, while the calling thread
+runs the session or the format grid; a run that fails stops its baseline
+before the next window. Everything derives from the session seed, so
+identical configurations produce byte-identical keys and (timing aside)
+byte-identical reports, whichever of the overlapped steps ends first.
 """
 from __future__ import annotations
 
@@ -22,9 +21,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -164,9 +162,15 @@ def _estimate(windows: Iterable[tuple[float, SessionTags]], config: SimConfig
     return hists, estimate_tfcm(hists, config.basis.beta_d_ps_per_rad_s)
 
 
-def _baseline(windows: Iterable[tuple[float, SessionTags]], config: SimConfig) -> Baseline:
+class _Stopped(Exception):
+    """A baseline was abandoned because the run it served failed."""
+
+
+def _baseline(windows: Iterable[tuple[float, SessionTags]], config: SimConfig,
+              stop: threading.Event | None = None) -> Baseline:
     """Covariances of ``config``'s back-to-back session from its windows, each
-    split (keyed on the frame) and binned as ``config.baseline_config()``."""
+    split (keyed on the frame) and binned as ``config.baseline_config()``;
+    once ``stop`` is set, ``_Stopped`` is raised before the next window."""
     bcfg = config.baseline_config()
     fmt = session_format(bcfg)
 
@@ -174,6 +178,8 @@ def _baseline(windows: Iterable[tuple[float, SessionTags]], config: SimConfig) -
         for end, tags in windows:
             tags = [security_subset(tags, bcfg, fmt)]
             yield end, tags.pop()
+            if stop is not None and stop.is_set():
+                raise _Stopped
     return Baseline(_estimate(split(), bcfg)[1])
 
 
@@ -183,39 +189,25 @@ def baseline_from_tags(tags: SessionTags, config: SimConfig) -> Baseline:
     return _baseline([(math.inf, tags)], config)
 
 
-# while a baseline runs beside a session or a sweep, the event set once its
-# result will not be read; it reaches compute_baseline through the context,
-# so that function keeps its one-argument form
-_baseline_stop: ContextVar[threading.Event | None] = ContextVar("_baseline_stop",
-                                                                default=None)
+def compute_baseline(config: SimConfig, stop: threading.Event | None = None) -> Baseline:
+    """Covariances of the simulated back-to-back session (no delay to
+    remove), stopped before its next window once ``stop`` is set."""
+    return _baseline(simulate_windows(config.baseline_config()), config, stop)
 
 
-class _Stopped(Exception):
-    """A baseline was abandoned because the run it served failed."""
-
-
-def _until_stopped(windows: Iterator) -> Iterator:
-    """``windows``, checking the run's stop event before each next one is drawn."""
-    stop = _baseline_stop.get() or threading.Event()
-    for window in windows:
-        yield window
-        if stop.is_set():
-            raise _Stopped
-
-
-def compute_baseline(config: SimConfig) -> Baseline:
-    """Covariances of the simulated back-to-back session (no delay to remove)."""
-    return _baseline(_until_stopped(simulate_windows(config.baseline_config())), config)
-
-
-def _stoppable(stop: threading.Event, config: SimConfig) -> Baseline:
-    """``compute_baseline(config)``, stopped before its next window once
-    ``stop`` is set."""
-    token = _baseline_stop.set(stop)
-    try:
-        return compute_baseline(config)
-    finally:
-        _baseline_stop.reset(token)
+@contextmanager
+def _beside_baseline(config: SimConfig):
+    """Simulate ``config``'s baseline on a worker thread while the block runs.
+    Yields the call that waits for its result and the event that stops it;
+    the event is set when the block ends, so a failed run does not wait for
+    the rest of the baseline."""
+    stop = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(compute_baseline, config, stop)
+        try:
+            yield future.result, stop
+        finally:
+            stop.set()
 
 
 @dataclass
@@ -279,15 +271,9 @@ def run_experiment(config: SimConfig) -> SessionReport:
     and post-process it with ``process_session``. A failure stops the
     baseline before its next window."""
     t_start = time.monotonic()
-    stop = threading.Event()
-    with ThreadPoolExecutor(1) as pool:
-        baseline = pool.submit(_stoppable, stop, config)
-        try:
-            # the tags are passed unnamed, so the call holds their only reference
-            report = process_session(_simulate(config), config, baseline.result)
-        except BaseException:
-            stop.set()  # the worker is joined without simulating to the end
-            raise
+    with _beside_baseline(config) as (baseline, _):
+        # the tags are passed unnamed, so the call holds their only reference
+        report = process_session(_simulate(config), config, baseline)
     report.wall_clock_s = time.monotonic() - t_start
     return report
 
@@ -483,38 +469,6 @@ def _sweep_row(fmt: FrameFormat, kept: int, q: float | None, i_ab: float | None,
     return SweepRow(n, i_bins, tau, n * kept / duration_s, q, di, sr)
 
 
-def _sweep_grid(tags: SessionTags | None, config: SimConfig,
-                formats: list[FrameFormat], stop: threading.Event
-                ) -> tuple[tuple | None, list[tuple]]:
-    """Everything in ``sweep`` but its baseline: the session's estimate (None
-    when it fails with a ``DoqkdError``) and each grid point's kept count,
-    QBER and I_AB. ``stop`` is set when the baseline will not be used."""
-    try:
-        if tags is None:
-            tags = align_bob(simulate_session(config), config.channel.propagation_delay_ps)
-        try:
-            estimate = analyze_security(tags, config)
-        except DoqkdError:
-            estimate = None
-            stop.set()  # no bound without the session's estimate
-        by_width: dict[int, list[int]] = {}
-        for k, fmt in enumerate(formats):
-            by_width.setdefault(fmt.frame_width_ps, []).append(k)
-        t1, t2, tags, widest = tags.t1, tags.t2, None, max(by_width)  # drops F1, F2
-        neighbours = FrameNeighbours(t1.select(_near(t1.times, t2.times, widest)),
-                                     t2.select(_near(t2.times, t1.times, widest)))
-        del t1, t2
-        points = [None] * len(formats)
-        for members in by_width.values():
-            off_a, off_b = _key_offsets(neighbours, config, formats[members[0]])
-            for k in members:
-                points[k] = _grid_point(formats[k], off_a, off_b, estimate is not None)
-        return estimate, points
-    except BaseException:
-        stop.set()
-        raise
-
-
 def sweep(config: SimConfig,
           tau_list: tuple[int, ...] = DEFAULT_TAU_GRID,
           i_list: tuple[int, ...] = DEFAULT_I_GRID,
@@ -532,32 +486,42 @@ def sweep(config: SimConfig,
     and bin. The secret-rate column combines per-point empirical information
     with the session-level eavesdropper bound at a nominal reconciliation
     efficiency: a planning figure, not a per-point reconciliation run. The
-    grid runs on a worker thread while this thread simulates the baseline
-    behind that bound, applied once both are done. A failure on the grid's
-    side stops the baseline before its next window and is raised; a
-    ``DoqkdError`` from the session's estimate, the baseline or the bound
-    leaves the rows without δI and secret rate.
+    grid runs on this thread while a worker simulates the baseline behind
+    that bound, applied once the grid is done. A failure in the grid stops
+    the baseline before its next window and is raised, as is a failure of
+    the baseline other than a ``DoqkdError``; a ``DoqkdError`` from the
+    session's estimate, the baseline or the bound leaves the rows without
+    δI and secret rate.
     """
     if not tau_list or not i_list or not n_list:
         raise ValueError("sweep grids must be non-empty")
     formats = [FrameFormat(n, i_bins, tau)
                for n in n_list for i_bins in i_list for tau in tau_list]
-    stop = threading.Event()
-    with ThreadPoolExecutor(1) as pool:
-        grid = pool.submit(_sweep_grid, tags, config, formats, stop)
+    by_width: dict[int, list[int]] = {}
+    for k, fmt in enumerate(formats):
+        by_width.setdefault(fmt.frame_width_ps, []).append(k)
+    points, chi = [None] * len(formats), None
+    with _beside_baseline(config) as (baseline, stop):
+        if tags is None:
+            tags = align_bob(simulate_session(config), config.channel.propagation_delay_ps)
         try:
-            baseline, failure = _stoppable(stop, config), None
-        except Exception as e:  # raised below if the bound needs the baseline
-            baseline, failure = None, e
-        estimate, points = grid.result()
-    chi = None
-    if estimate is not None:
-        try:
-            if failure is not None:
-                raise failure
-            chi = holevo_bound(estimate[1], baseline)
+            estimate = analyze_security(tags, config)
         except DoqkdError:
-            pass
+            estimate = None
+            stop.set()  # no bound without the session's estimate
+        t1, t2, tags, widest = tags.t1, tags.t2, None, max(by_width)  # drops F1, F2
+        neighbours = FrameNeighbours(t1.select(_near(t1.times, t2.times, widest)),
+                                     t2.select(_near(t2.times, t1.times, widest)))
+        del t1, t2
+        for members in by_width.values():
+            off_a, off_b = _key_offsets(neighbours, config, formats[members[0]])
+            for k in members:
+                points[k] = _grid_point(formats[k], off_a, off_b, estimate is not None)
+        if estimate is not None:
+            try:
+                chi = holevo_bound(estimate[1], baseline())
+            except DoqkdError:
+                pass
     return SweepTable([_sweep_row(fmt, *point, chi, config.duration_s)
                        for fmt, point in zip(formats, points)])
 

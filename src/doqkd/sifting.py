@@ -36,9 +36,13 @@ class FrameFormat:
         if self.bins_per_slot > 256:
             raise ConfigError(f"bins_per_slot {self.bins_per_slot} is above 256, "
                               "the most a sift-v1 bin number can tell apart")
-        # frame numbers and offsets are int64 arithmetic on int64 timestamps;
-        # n_bits is tested first so a huge one never builds a huge integer
-        if self.n_bits >= 63 or self.frame_width_ps > np.iinfo(np.int64).max:
+        # the information estimate counts symbol pairs in a dense table of
+        # 4**n_bits int64 cells: 2**20 of them is the histograms' 8 MiB budget
+        if self.n_bits > 10:
+            raise ConfigError(f"n_bits {self.n_bits} is above 10: the joint table of "
+                              f"4**{self.n_bits} symbol pairs would not fit in 8 MiB")
+        # frame numbers and offsets are int64 arithmetic on int64 timestamps
+        if self.frame_width_ps > np.iinfo(np.int64).max:
             raise ConfigError(f"frame width of {self} does not fit in int64")
 
     @property

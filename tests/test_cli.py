@@ -295,6 +295,8 @@ def test_sweep_and_optimize(cli_cfg, tmp_path):
     # frames of 2**70 slots are wider than int64
     ("sweep", "--n-list", "70"),
     ("optimize", "--n-list", "4,70"),
+    # the information estimate's 4**11-cell joint table is over 8 MiB
+    ("sweep", "--n-list", "11"),
     # bin numbers above 255 do not fit sift-v1's u8 field
     ("sweep", "--i-list", "3,257"),
     ("optimize", "--i-list", "300"),
@@ -351,6 +353,8 @@ def test_format_below_one_exit_code(tmp_path, monkeypatch, key, value):
     ("histogram.range_ps", 3840000000000000000),
     # bin numbers above 255 do not fit sift-v1's u8 field
     ("format.bins_per_slot", 257),
+    # 4**11 symbol pairs overflow the information estimate's joint table
+    ("format.n_bits", 11),
     ("reconciliation.block_length", 0), ("reconciliation.max_iterations", 0),
     # the rate-0.5 syndrome plus the 64-bit hash leaves no key bits
     ("reconciliation.block_length", 1), ("reconciliation.block_length", 8),
@@ -398,6 +402,11 @@ def test_simulate_chunk_work_over_the_bound_exit_code(tmp_path, monkeypatch, pat
 def test_format_bins_beyond_sift_v1_exit_code(tmp_path, nothing_read, command):
     command = [str(tmp_path) if arg == "run" else arg for arg in command]
     assert main([*command, "--out", str(tmp_path)]) == 2
+
+
+def test_keygen_format_beyond_the_joint_table_exit_code(tmp_path, nothing_read):
+    # 4**16 symbol pairs: rejected before the session is simulated
+    assert main(["keygen", "--format", "16,3,20", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("option, value", [

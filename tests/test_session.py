@@ -268,6 +268,16 @@ class TestOverlap:
         assert drawn.before >= 1 and drawn.after <= 2
         assert threading.active_count() == threads
 
+    def test_preset_stop_draws_one_window(self, monkeypatch):
+        cfg = tiny_cfg()
+        cfg.baseline_duration_s = 5.0
+        drawn = BaselineWindows(monkeypatch)
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(session._Stopped):
+            session.compute_baseline(cfg, stop)
+        assert (drawn.before, drawn.after) == (1, 0)
+
 
 class BaselineWindows:
     """Counts the windows the baseline draws, through the session module's
@@ -472,7 +482,7 @@ def sequential_chi(config, tags):
 
 
 class TestSweepOverlap:
-    """sweep runs its grid on a worker thread while this thread simulates
+    """sweep runs its grid on the calling thread while a worker simulates
     the baseline. The rows are those of the steps run in turn, whichever
     side ends first; a failure on one side stops or discards the other and
     leaves no thread behind."""
@@ -548,6 +558,22 @@ class TestSweepOverlap:
                 sweep(cfg, *SMALL_GRID, tags=tags)
         else:
             assert sweep(cfg, *SMALL_GRID, tags=tags).to_csv() == expected["none"]
+        assert drawn.before >= 1 and drawn.after <= 2
+        assert threading.active_count() == threads
+
+    def test_simulate_failure_stops_the_baseline(self, monkeypatch):
+        cfg = tiny_cfg()
+        cfg.baseline_duration_s = 5.0  # 21 windows
+        drawn = BaselineWindows(monkeypatch)
+
+        def fail(config, **kwargs):
+            drawn.fail()
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(session, "simulate_session", fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            sweep(cfg, *SMALL_GRID)
         assert drawn.before >= 1 and drawn.after <= 2
         assert threading.active_count() == threads
 
@@ -628,7 +654,7 @@ class TestSweepKernel:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "analyze_security", analyze_security)
-            mp.setattr(session, "compute_baseline", lambda config: None)
+            mp.setattr(session, "compute_baseline", lambda config, stop=None: None)
             mp.setattr(session, "holevo_bound", lambda tfcm, baseline: chi)
             table = sweep(cfg, tuple(tau_list), tuple(i_list), tuple(n_list),
                           tags=tags)

@@ -89,6 +89,16 @@ class TestFrameFormat:
         with pytest.raises(ConfigError, match="256"):
             FrameFormat(2, i, 10)
 
+    def test_n_bits_beyond_the_joint_table_rejected(self):
+        # the information estimate's joint table has 4**n_bits int64 cells
+        assert FrameFormat(10, 3, 20).slots_per_frame == 1024
+        with pytest.raises(ConfigError, match="joint table"):
+            FrameFormat(11, 3, 20)
+
+    def test_frame_wider_than_int64_rejected(self):
+        with pytest.raises(ConfigError, match="int64"):
+            FrameFormat(10, 256, 2**50)
+
 
 class TestAssignAddress:
     def test_zero(self):
