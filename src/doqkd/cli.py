@@ -153,10 +153,7 @@ def cmd_keygen(args, out: Path) -> int:
         raise ConfigError("keygen takes --in and --baseline together")
     cfg = _load_config(args)
     if args.format:
-        fmt = _parse_format(args.format)
-        cfg.format_n_bits = fmt.n_bits
-        cfg.format_bins_per_slot = fmt.bins_per_slot
-        cfg.format_bin_width_ps = fmt.bin_width_ps
+        cfg = replace(cfg, format=_parse_format(args.format))
     if args.indir is None:
         report = run_experiment(cfg)
     else:
@@ -174,7 +171,7 @@ def cmd_keygen(args, out: Path) -> int:
     rec = report.reconciliation
     write_json(out / "key_material.json", {
         "raw_symbols": report.kept_frames,
-        "n_bits_per_symbol": cfg.format_n_bits,
+        "n_bits_per_symbol": cfg.format.n_bits,
         "reconciled_bits": rec.corrected_blocks * rec.block_length,
         "code_rate": rec.code_rate,
         "disclosed_bits": rec.disclosed_bits_total,

@@ -58,11 +58,6 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
-def session_format(config: SimConfig) -> FrameFormat:
-    return FrameFormat(config.format_n_bits, config.format_bins_per_slot,
-                       config.format_bin_width_ps)
-
-
 def align_bob(tags: SessionTags, delay_ps: int) -> SessionTags:
     """Remove the known propagation delay from Bob's streams."""
     if delay_ps == 0:
@@ -110,7 +105,7 @@ def security_subset(tags: SessionTags, config: SimConfig, fmt: FrameFormat
 def analyze_security(tags: SessionTags, config: SimConfig,
                      fmt: FrameFormat | None = None) -> tuple[FourBasisHistograms, Tfcm]:
     """Security-subset four-basis histograms and the covariance estimate."""
-    sec = security_subset(tags, config, fmt or session_format(config))
+    sec = security_subset(tags, config, fmt or config.format)
     return _estimate([(math.inf, sec)], config)
 
 
@@ -172,11 +167,10 @@ def _baseline(windows: Iterable[tuple[float, SessionTags]], config: SimConfig,
     split (keyed on the frame) and binned as ``config.baseline_config()``;
     once ``stop`` is set, ``_Stopped`` is raised before the next window."""
     bcfg = config.baseline_config()
-    fmt = session_format(bcfg)
 
     def split():  # holds no window while the next one is drawn
         for end, tags in windows:
-            tags = [security_subset(tags, bcfg, fmt)]
+            tags = [security_subset(tags, bcfg, bcfg.format)]
             yield end, tags.pop()
             if stop is not None and stop.is_set():
                 raise _Stopped
@@ -288,7 +282,7 @@ def process_session(tags: SessionTags, config: SimConfig,
     keeps no reference to the tags frees T1 and T2 after sifting.
     """
     t_start = time.monotonic()
-    fmt = session_format(config)
+    fmt = config.format
     singles = tags.singles_rates_hz()
 
     with _stage("security"):
@@ -434,14 +428,6 @@ def _key_offsets(neighbours: FrameNeighbours, config: SimConfig, fmt: FrameForma
     return off_a[key], off_b[key]
 
 
-def _near(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
-    """Mask of the sorted times ``x`` strictly closer than ``width`` to some
-    sorted time in ``y``; ``x + width`` is summed in uint64, where it fits."""
-    upper = x.view(np.uint64) + np.uint64(width)
-    return (np.searchsorted(y, x - width, "right")
-            < np.searchsorted(y.view(np.uint64), upper, "left"))
-
-
 def _grid_point(fmt: FrameFormat, off_a: np.ndarray, off_b: np.ndarray,
                 with_info: bool) -> tuple[int, float | None, float | None]:
     """One grid point's kept count, QBER and, with ``with_info`` and at least
@@ -477,11 +463,9 @@ def sweep(config: SimConfig,
     """Sift one simulated dataset over the whole format grid.
 
     Tags are generated once per seed, so curves isolate format effects from
-    Monte-Carlo noise. T1 and T2 first keep only the tags strictly closer
-    than the grid's widest frame to a tag of the other stream: that drops no
-    tag of a frame both reach and keeps the durations, so the rows are those
-    of the whole streams. One search then places each T2 tag among the T1
-    tags (``FrameNeighbours``); each frame width finds its common frames by
+    Monte-Carlo noise. One search places each T2 tag among the T1 tags and
+    keeps those strictly closer than the grid's widest frame to a T1 tag
+    (``FrameNeighbours``); each frame width finds its common frames by
     comparisons alone, and each point only splits their offsets into slot
     and bin. The secret-rate column combines per-point empirical information
     with the session-level eavesdropper bound at a nominal reconciliation
@@ -509,9 +493,8 @@ def sweep(config: SimConfig,
         except DoqkdError:
             estimate = None
             stop.set()  # no bound without the session's estimate
-        t1, t2, tags, widest = tags.t1, tags.t2, None, max(by_width)  # drops F1, F2
-        neighbours = FrameNeighbours(t1.select(_near(t1.times, t2.times, widest)),
-                                     t2.select(_near(t2.times, t1.times, widest)))
+        t1, t2, tags = tags.t1, tags.t2, None  # drops F1, F2
+        neighbours = FrameNeighbours(t1, t2, max(by_width))
         del t1, t2
         for members in by_width.values():
             off_a, off_b = _key_offsets(neighbours, config, formats[members[0]])

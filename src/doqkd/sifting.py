@@ -100,16 +100,24 @@ def common_offsets(frames_a: np.ndarray, times_a: np.ndarray,
 
 
 class FrameNeighbours:
-    """The many-widths form of ``single_events`` and ``common_offsets``: one
-    search keeps, per Bob tag, its uint64 gaps (>= 2**63 if missing) to the
-    previous and next tag of its stream and to the two Alice tags on each
-    side. A tag ``r`` ps into a frame of width ``w`` shares it with an earlier
-    tag whose gap is at most ``r``, and a later one whose gap is below ``w - r``."""
+    """The many-widths form of ``single_events`` and ``common_offsets``, for
+    frame widths up to ``reach``. One search places each Bob tag among the
+    Alice tags and keeps only the Bob tags with an Alice tag strictly within
+    ``reach``: a frame holding a tag of each stream is at most that wide, so
+    every Bob tag of such a frame is kept. Per kept tag it holds the uint64
+    gaps (>= 2**63 if missing) to the previous and next kept Bob tag and to
+    the two Alice tags on each side. A tag ``r`` ps into a frame of width
+    ``w`` shares it with an earlier tag whose gap is at most ``r``, and a
+    later one whose gap is below ``w - r``."""
 
-    def __init__(self, alice: TagStream, bob: TagStream):
-        t = self._t = bob.times.view(np.uint64)
+    def __init__(self, alice: TagStream, bob: TagStream, reach: int):
+        self._reach = reach
         a = np.concatenate(([2**63] * 2, alice.times.view(np.uint64), [2**64 - 1] * 2))
+        t, r = bob.times.view(np.uint64), np.uint64(reach)
         j = np.searchsorted(alice.times, bob.times) + 2
+        near = np.flatnonzero((t - a[j - 1] < r) | (a[j] - t < r))
+        t, j = t[near], j[near]
+        self._t = t
         self._gaps_a = [t - a[j - 1], t - a[j - 2], a[j] - t, a[j + 1] - t]
         self._gaps_b = np.diff(t, prepend=2**63, append=2**64 - 1)  # k's: [k], [k + 1]
         # _complete_frames reads only a stream's duration and last tag
@@ -119,6 +127,8 @@ class FrameNeighbours:
     def common_offsets(self, frame_width_ps: int) -> tuple[np.ndarray, ...]:
         """``common_offsets`` over both streams' ``single_events`` at this width."""
         w, g = frame_width_ps, self._gaps_b
+        if w > self._reach:
+            raise ValueError(f"frame width {w} ps is above the {self._reach} ps reach")
         end = min(_complete_frames(s, w) for s in self._ends) * w
         # end < 2**64; searchsorted compares a Python int above int64 in float64
         t = self._t[:np.searchsorted(self._t, np.uint64(end))]

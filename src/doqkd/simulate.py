@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
@@ -161,7 +161,8 @@ def _section(d: dict, key: str) -> dict:
 
 @dataclass
 class SimConfig:
-    """Full session configuration (simcfg-v1 on disk)."""
+    """Full session configuration (simcfg-v1 on disk). ``format`` is one
+    checked ``FrameFormat``, the frame structure every stage reads."""
 
     source: SourceModel
     channel: ChannelModel
@@ -171,9 +172,7 @@ class SimConfig:
     seed: int
     wavelength_nm: float = 1550.0
     security_fraction: float = 0.3
-    format_n_bits: int = 4
-    format_bins_per_slot: int = 3
-    format_bin_width_ps: int = 160
+    format: FrameFormat = FrameFormat(4, 3, 160)
     hist_bin_ps: int = 30
     hist_range_ps: int = 3840
     block_length: int = 16384
@@ -249,9 +248,7 @@ class SimConfig:
             "duration_s": self.duration_s,
             "seed": self.seed,
             "security_fraction": self.security_fraction,
-            "format": {"n_bits": self.format_n_bits,
-                       "bins_per_slot": self.format_bins_per_slot,
-                       "bin_width_ps": self.format_bin_width_ps},
+            "format": asdict(self.format),
             "histogram": {"bin_ps": self.hist_bin_ps, "range_ps": self.hist_range_ps},
             "reconciliation": {"block_length": self.block_length,
                                "max_iterations": self.max_iterations,
@@ -288,9 +285,6 @@ class SimConfig:
             basis = (DispersiveBasis(disp, _real(beta)) if beta is not None
                      else DispersiveBasis.from_dispersion(disp, wavelength))
             fmt = _section(d, "format")
-            frame = FrameFormat(_integer(fmt.get("n_bits", 4)),
-                                _integer(fmt.get("bins_per_slot", 3)),
-                                _integer(fmt.get("bin_width_ps", 160)))
             hist = _section(d, "histogram")
             rec = _section(d, "reconciliation")
             base = _section(d, "baseline").get("duration_s")
@@ -299,9 +293,9 @@ class SimConfig:
                 duration_s=_real(d["duration_s"]), seed=_integer(d["seed"]),
                 wavelength_nm=wavelength,
                 security_fraction=_real(d.get("security_fraction", 0.3)),
-                format_n_bits=frame.n_bits,
-                format_bins_per_slot=frame.bins_per_slot,
-                format_bin_width_ps=frame.bin_width_ps,
+                format=FrameFormat(_integer(fmt.get("n_bits", 4)),
+                                   _integer(fmt.get("bins_per_slot", 3)),
+                                   _integer(fmt.get("bin_width_ps", 160))),
                 hist_bin_ps=_integer(hist.get("bin_ps", 30)),
                 hist_range_ps=_integer(hist.get("range_ps", 3840)),
                 block_length=_integer(rec.get("block_length", 16384)),

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from doqkd.errors import DoqkdError
+from doqkd.sifting import FrameFormat
 from doqkd.simulate import (CHANNELS, ChannelModel, DetectorModel,
                             DispersiveBasis, SimConfig, SourceModel)
 from doqkd.timetags import Channel
@@ -67,9 +68,7 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
               transmission: tuple[float, float] = (1.0, 0.4),
               dark_rate_hz: float = 100.0,
               security_fraction: float = 0.3,
-              format_n_bits: int = 4,
-              format_bins_per_slot: int = 3,
-              format_bin_width_ps: int = 160,
+              format: FrameFormat = FrameFormat(4, 3, 160),
               hist_range_ps: int = 3840,
               duration_s: float = 5.0,
               seed: int = 20260808) -> SimConfig:
@@ -92,7 +91,7 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
     # absolute rate scale from (effective rate, CAR) on the key fraction
     kf = 1.0 - security_fraction
     tau_s = targets.car_bin_ps * 1e-12
-    frame_ps = (1 << format_n_bits) * format_bins_per_slot * format_bin_width_ps
+    frame_ps = format.frame_width_ps
     excl_ps = 3.0 * targets.tt_fwhm_ps
     # frame-keyed splitting decorrelates tag pairs that straddle a frame
     # boundary; the accidental floor seen on the key subset decays linearly
@@ -126,6 +125,5 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
         detectors={c: DetectorModel(eta[c], jitter, dark_rate_hz) for c in CHANNELS},
         basis=basis, duration_s=duration_s, seed=seed,
         wavelength_nm=wavelength_nm, security_fraction=security_fraction,
-        format_n_bits=format_n_bits, format_bins_per_slot=format_bins_per_slot,
-        format_bin_width_ps=format_bin_width_ps, hist_range_ps=hist_range_ps,
+        format=format, hist_range_ps=hist_range_ps,
     )

@@ -42,8 +42,7 @@ def test_02_effective_rate_curve_shape(session25):
     """Effective rate rises and CAR strictly falls with bin width."""
     cfg = session25["cfg"]
     tags = session25["tags"]
-    fmt = FrameFormat(cfg.format_n_bits, cfg.format_bins_per_slot,
-                      cfg.format_bin_width_ps)
+    fmt = cfg.format
     seed = split_seed(cfg)
     _, key1 = split_security_fraction(tags.t1, cfg.security_fraction, seed, fmt)
     _, key2 = split_security_fraction(tags.t2, cfg.security_fraction, seed, fmt)

@@ -9,6 +9,7 @@ import pytest
 from doqkd.cli import main
 from doqkd.io import TTAG_DTYPE, canonical_json
 from doqkd.session import run_experiment
+from doqkd.sifting import FrameFormat
 from doqkd.simulate import SimConfig, paper_default_config
 
 
@@ -218,6 +219,24 @@ def test_keygen(cli_cfg, tmp_path):
     assert side["disclosed_bits"] > 0
 
 
+def test_keygen_format_option(tmp_path):
+    # the golden format_5_2_120 session, its format given on the command line
+    cfg = paper_default_config(seed=12)
+    cfg.duration_s = cfg.baseline_duration_s = 0.2
+    cfg.block_length = 2048
+    cfg.save(tmp_path / "cfg.json")
+    assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
+                 "--format", "5,2,120", "--out", str(tmp_path)]) == 0
+    rep = run_experiment(dataclasses.replace(cfg, format=FrameFormat(5, 2, 120)))
+    for name in ("secret_key", "raw_key_a", "raw_key_b"):
+        assert (tmp_path / f"{name}.bin").read_bytes() == getattr(rep, name), name
+    side = json.loads((tmp_path / "key_material.json").read_text())
+    assert side["n_bits_per_symbol"] == 5
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["format"] == {"n_bits": 5, "bins_per_slot": 2,
+                                          "bin_width_ps": 120}
+
+
 def test_keygen_no_key_exit_code(tmp_path):
     cfg = paper_default_config()
     cfg.duration_s = 0.12
@@ -314,15 +333,16 @@ def test_bad_grid_or_cap_exit_code(tmp_path, monkeypatch, command, option, value
                  option, value, "--out", str(tmp_path)]) == 2
 
 
-def test_frame_wider_than_int64_exit_code(tmp_path, monkeypatch):
-    cfg = paper_default_config()
-    cfg.duration_s = cfg.baseline_duration_s = 0.01
-    cfg.format_n_bits = 70
-    cfg.save(tmp_path / "cfg.json")
-    # rejected before any session is simulated
+def test_frame_wider_than_int64_exit_code(tmp_path, monkeypatch, capsys):
+    d = paper_default_config().to_dict()
+    # each value within its own limit; the frame is 2**64 ps wide
+    d["format"] = {"n_bits": 10, "bins_per_slot": 256, "bin_width_ps": 2**46}
+    (tmp_path / "cfg.json").write_text(json.dumps(d))
+    # rejected when the config loads, before any session is simulated
     monkeypatch.setattr("doqkd.session.simulate_session", None)
     assert main(["keygen", "--config", str(tmp_path / "cfg.json"),
                  "--out", str(tmp_path)]) == 2
+    assert "does not fit in int64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("n_bits", 0), ("bins_per_slot", 0),

@@ -23,6 +23,7 @@ import pytest
 from doqkd.cli import main
 from doqkd.ldpc import DEGREE_PROFILES, SUPPORTED_RATES, make_code, peg_construct
 from doqkd.session import run_experiment, sweep
+from doqkd.sifting import FrameFormat
 from doqkd.simulate import (CHANNELS, DetectorModel, paper_default_config,
                             simulate_session)
 
@@ -44,8 +45,7 @@ def session_config(name: str):
     if name == "default":
         return short_config(11)
     if name == "format_5_2_120":
-        return short_config(12, format_n_bits=5, format_bins_per_slot=2,
-                            format_bin_width_ps=120)
+        return short_config(12, format=FrameFormat(5, 2, 120))
     if name == "delay":
         cfg = short_config(13)
         cfg.channel = dataclasses.replace(cfg.channel,

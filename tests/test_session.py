@@ -16,8 +16,7 @@ from doqkd.errors import ConfigError, DoqkdError, EstimationError, StageError
 from doqkd.security import (FourBasisHistograms, estimate_tfcm,
                             mutual_information, secret_fraction)
 from doqkd.session import (NOMINAL_BETA, OptimizeEntry, SweepRow, align_bob,
-                           optimize, run_experiment, session_format,
-                           split_seed, sweep)
+                           optimize, run_experiment, split_seed, sweep)
 from doqkd.sifting import (FrameFormat, qber, run_sifting,
                            split_security_fraction)
 from doqkd.simulate import (ChannelModel, DetectorModel, SessionTags,
@@ -75,14 +74,12 @@ class TestRunExperiment:
         cfg.channel = ChannelModel(1.0, 0.4)
         cfg.source = dataclasses.replace(cfg.source, pair_rate_hz=25e3,
                                          correlation_break_sigma_rad_s=0.0)
-        cfg.format_n_bits = 3
-        cfg.format_bins_per_slot = 5
-        cfg.format_bin_width_ps = 20  # jitter-free events always share a bin
+        cfg.format = FrameFormat(3, 5, 20)  # jitter-free events always share a bin
         rep = run_experiment(cfg)
         assert rep.qber_symbol == 0.0
         assert rep.reconciliation.measured_ber == 0.0
         beta = rep.security.beta
-        n = cfg.format_n_bits
+        n = cfg.format.n_bits
         # perfect channel: information is the full n bits, nothing leaks
         assert rep.security.i_ab_bpc == pytest.approx(n, abs=0.02)
         assert rep.security.chi_ae_bpc == pytest.approx(0.0, abs=0.02)
@@ -308,7 +305,7 @@ class BaselineWindows:
 def whole_stream_histograms(tags, cfg):
     """The four-basis histograms of ``cfg``'s security subset of whole
     streams, each basis pair binned by ``coincidence_histogram`` alone."""
-    fmt, seed = session_format(cfg), split_seed(cfg)
+    fmt, seed = cfg.format, split_seed(cfg)
     t1, t2 = (split_security_fraction(s, cfg.security_fraction, seed, fmt)[0]
               for s in (tags.t1, tags.t2))
     streams = {"t": (t1, t2), "f": (tags.f1, tags.f2)}
@@ -357,7 +354,7 @@ class TestWindowedEstimate:
         cfg = tiny_cfg(duration_s=0.6, hist_bin_ps=30_000_000,
                        hist_range_ps=300_000_000_000)
         cfg.source = dataclasses.replace(cfg.source, pair_rate_hz=2e4)
-        fmt = session_format(cfg)
+        fmt = cfg.format
         windows = ((end, session.security_subset(w, cfg, fmt))
                    for end, w in simulate_windows(cfg))
         hists = session.four_basis_histograms(windows, cfg.hist_bin_ps,
@@ -659,33 +656,6 @@ class TestSweepKernel:
             table = sweep(cfg, tuple(tau_list), tuple(i_list), tuple(n_list),
                           tags=tags)
         assert table.rows == per_point_rows(cfg, tags, formats, chi)
-
-
-INT64_MAX = 2**63 - 1
-near_times = st.lists(st.integers(0, 50) | st.integers(INT64_MAX - 50, INT64_MAX),
-                      max_size=30).map(sorted)
-
-
-class TestNearFilter:
-    """The sweep's tag filter against an all-pairs check."""
-
-    @given(x=near_times, y=near_times,
-           width=st.integers(1, 60) | st.sampled_from([2**62, INT64_MAX - 1,
-                                                       INT64_MAX]))
-    @example(x=[], y=[], width=1)
-    @example(x=[], y=[3], width=1)
-    @example(x=[3, 4], y=[], width=INT64_MAX)
-    # ties on both sides, and width 1 keeps only equal times
-    @example(x=[5, 5, 6, 9], y=[5, 5, 7, 8], width=1)
-    # a width above the span keeps everything
-    @example(x=[0, 7, 50], y=[20], width=51)
-    # gaps of int64's full range, at and just under the width
-    @example(x=[0, INT64_MAX], y=[0, INT64_MAX], width=INT64_MAX)
-    @example(x=[0], y=[INT64_MAX], width=INT64_MAX)
-    @example(x=[1], y=[INT64_MAX], width=INT64_MAX)
-    def test_matches_all_pairs(self, x, y, width):
-        got = session._near(np.array(x, np.int64), np.array(y, np.int64), width)
-        assert got.tolist() == [any(abs(a - b) < width for b in y) for a in x]
 
 
 class TestOptimize:

@@ -174,7 +174,8 @@ def neighbour_tags(times, channel, duration):
 
 class TestFrameNeighbours:
     """The many-widths form against ``single_events`` + ``common_offsets``
-    on each width of a grid, arrays and dtypes alike."""
+    on each width of a grid, arrays and dtypes alike, with a reach of the
+    widest width or more."""
 
     @given(a=st.lists(st.integers(0, 120), max_size=40),
            b=st.lists(st.integers(0, 120), max_size=40),
@@ -182,44 +183,61 @@ class TestFrameNeighbours:
            dur_a=st.sampled_from([0, 60, 121]),
            dur_b=st.sampled_from([0, 60, 121]),
            widths=st.lists(st.integers(1, 150) | st.sampled_from(TOP_WIDTHS),
-                           min_size=1, max_size=6, unique=True))
+                           min_size=1, max_size=6, unique=True),
+           extra=st.sampled_from([0, 1, 37, 2**62]))
     # ties within each stream, and Bob tags equal to Alice tags
     @example(a=[5, 5, 9, 20, 31, 31, 60], b=[5, 9, 9, 20, 31, 44], dur_a=0,
-             dur_b=0, widths=[1, 2, 4, 10, 16])
+             dur_b=0, widths=[1, 2, 4, 10, 16], extra=0)
+    # ties on both sides at width 1, which keeps only the Bob tags equal to
+    # an Alice tag
+    @example(a=[5, 5, 7, 8, 12], b=[5, 5, 6, 9, 12], dur_a=0, dur_b=0,
+             widths=[1], extra=0)
     # two Alice tags in a Bob tag's frame, both before it or both after it
     @example(a=[1, 2, 14, 17, 25], b=[3, 13, 24], dur_a=0, dur_b=0,
-             widths=[5, 10])
+             widths=[5, 10], extra=0)
     # a tag's next one in its stream opens the next frame
-    @example(a=[3, 12], b=[4, 10], dur_a=0, dur_b=0, widths=[5, 10])
+    @example(a=[3, 12], b=[4, 10], dur_a=0, dur_b=0, widths=[5, 10], extra=1)
     # an empty side
-    @example(a=[], b=[3, 7, 40], dur_a=0, dur_b=121, widths=[1, 8])
-    @example(a=[3, 7, 40], b=[], dur_a=121, dur_b=0, widths=[1, 8])
+    @example(a=[], b=[3, 7, 40], dur_a=0, dur_b=121, widths=[1, 8], extra=0)
+    @example(a=[3, 7, 40], b=[], dur_a=121, dur_b=0, widths=[1, 8], extra=0)
+    @example(a=[], b=[], dur_a=0, dur_b=0, widths=[1], extra=0)
     # Bob's stream ends before Alice's, by duration and by its last tag;
     # then equal durations
     @example(a=[2, 11, 21, 33, 47], b=[3, 12, 22, 34, 46], dur_a=0, dur_b=25,
-             widths=[5, 10, 12])
+             widths=[5, 10, 12], extra=0)
     @example(a=[2, 11, 21, 33, 47], b=[3, 12, 22], dur_a=121, dur_b=0,
-             widths=[5, 10, 12])
+             widths=[5, 10, 12], extra=37)
     @example(a=[2, 11, 21, 33, 47], b=[3, 12, 22, 34, 46], dur_a=60,
-             dur_b=60, widths=[5, 10, 12])
+             dur_b=60, widths=[5, 10, 12], extra=0)
+    # a reach wider than the whole span keeps every Bob tag
+    @example(a=[0, 7, 50], b=[20, 21, 60], dur_a=0, dur_b=0, widths=[8, 51],
+             extra=2**62)
     # a frame wider than the session keeps none
     @example(a=[1, 50, 100], b=[2, 51, 101], dur_a=121, dur_b=121,
-             widths=[122, 150, 2**62])
+             widths=[122, 150, 2**62], extra=0)
     # times and widths at the top of int64: a frame's end does not fit, and
     # neighbours are missing on either side
     @example(a=[0, INT64_MAX - 3, INT64_MAX - 1], b=[1, INT64_MAX - 2, INT64_MAX],
-             dur_a=0, dur_b=0, widths=[*TOP_WIDTHS, INT64_MAX - 2])
+             dur_a=0, dur_b=0, widths=[*TOP_WIDTHS, INT64_MAX - 2], extra=0)
     @example(a=[INT64_MAX], b=[INT64_MAX], dur_a=0, dur_b=0,
-             widths=[INT64_MAX, INT64_MAX - 1])
+             widths=[INT64_MAX, INT64_MAX - 1], extra=0)
     @example(a=[INT64_MAX - 5, INT64_MAX - 1], b=[INT64_MAX - 4, INT64_MAX],
-             dur_a=INT64_MAX, dur_b=INT64_MAX, widths=[1, 3, 7, *TOP_WIDTHS[1:]])
+             dur_a=INT64_MAX, dur_b=INT64_MAX, widths=[1, 3, 7, *TOP_WIDTHS[1:]],
+             extra=0)
+    # tags at 0 and INT64_MAX: gaps of int64's full range, at and just under
+    # the reach
+    @example(a=[0, INT64_MAX], b=[0, INT64_MAX], dur_a=0, dur_b=0,
+             widths=[INT64_MAX], extra=0)
+    @example(a=[0], b=[INT64_MAX], dur_a=0, dur_b=0, widths=[INT64_MAX], extra=0)
+    @example(a=[INT64_MAX], b=[1], dur_a=0, dur_b=0, widths=[INT64_MAX], extra=0)
     # a lone tag whose frame ends just past int64
-    @example(a=[INT64_MAX - 1], b=[INT64_MAX - 1], dur_a=0, dur_b=0, widths=[2, 3])
+    @example(a=[INT64_MAX - 1], b=[INT64_MAX - 1], dur_a=0, dur_b=0, widths=[2, 3],
+             extra=0)
     def test_matches_single_events_and_common_offsets(self, a, b, dur_a, dur_b,
-                                                      widths):
+                                                      widths, extra):
         alice = neighbour_tags(a, Channel.T1, dur_a)
         bob = neighbour_tags(b, Channel.T2, dur_b)
-        neighbours = FrameNeighbours(alice, bob)
+        neighbours = FrameNeighbours(alice, bob, min(max(widths) + extra, INT64_MAX))
         for w in widths:
             fa, ta, _ = single_events(alice, w)
             fb, tb, _ = single_events(bob, w)
@@ -227,6 +245,12 @@ class TestFrameNeighbours:
             got = neighbours.common_offsets(w)
             assert [(x.dtype, x.tolist()) for x in got] \
                 == [(x.dtype, x.tolist()) for x in want], w
+
+    def test_width_above_the_reach(self):
+        neighbours = FrameNeighbours(neighbour_tags([1], Channel.T1, 0),
+                                     neighbour_tags([2], Channel.T2, 0), 8)
+        with pytest.raises(ValueError):
+            neighbours.common_offsets(9)
 
 
 class TestSplit:
