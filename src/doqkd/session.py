@@ -8,9 +8,12 @@ histograms and the covariance analysis against the baseline -> privacy
 amplification. ``run_experiment`` and ``sweep`` both simulate the baseline
 on a worker thread, one 0.25 s window at a time, while the calling thread
 runs the session or the format grid; a run that fails stops its baseline
-before the next window. Everything derives from the session seed, so
-identical configurations produce byte-identical keys and (timing aside)
-byte-identical reports, whichever of the overlapped steps ends first.
+before the next window. The baseline that a successful run completed is
+kept, one at a time, and a later run with the same baseline config reuses
+it instead. Everything derives from the session seed, so identical
+configurations produce byte-identical keys and (timing aside)
+byte-identical reports, whichever of the overlapped steps ends first and
+whether the baseline was simulated or reused.
 """
 from __future__ import annotations
 
@@ -185,23 +188,41 @@ def baseline_from_tags(tags: SessionTags, config: SimConfig) -> Baseline:
 
 def compute_baseline(config: SimConfig, stop: threading.Event | None = None) -> Baseline:
     """Covariances of the simulated back-to-back session (no delay to
-    remove), stopped before its next window once ``stop`` is set."""
+    remove), stopped before its next window once ``stop`` is set. This call
+    always simulates it; ``_beside_baseline`` is what reuses one."""
     return _baseline(simulate_windows(config.baseline_config()), config, stop)
+
+
+# the simcfg-v1 text of the last baseline config a run completed, and its
+# baseline; replaced whole, so a reader sees a matching pair
+_kept_baseline: tuple[str, Baseline] | None = None
 
 
 @contextmanager
 def _beside_baseline(config: SimConfig):
-    """Simulate ``config``'s baseline on a worker thread while the block runs.
-    Yields the call that waits for its result and the event that stops it;
-    the event is set when the block ends, so a failed run does not wait for
-    the rest of the baseline."""
+    """Yield the call that returns ``config``'s baseline and the event that
+    stops it. The kept baseline is returned as is when its config is
+    ``config.baseline_config()``. Otherwise ``compute_baseline`` runs on a
+    worker thread while the block runs; the event is set when the block
+    ends, so a failed run does not wait for the rest of the baseline. A
+    baseline that completes in a block that ends without raising replaces
+    the kept one. Two runs that miss at once each simulate their own, so
+    one run's failure never stops another's."""
+    global _kept_baseline
+    key = canonical_json(config.baseline_config().to_dict())
     stop = threading.Event()
+    kept = _kept_baseline
+    if kept is not None and kept[0] == key:
+        yield (lambda: kept[1]), stop
+        return
     with ThreadPoolExecutor(1) as pool:
         future = pool.submit(compute_baseline, config, stop)
         try:
             yield future.result, stop
         finally:
             stop.set()
+    if future.exception() is None:  # the pool has waited for the worker
+        _kept_baseline = (key, future.result())
 
 
 @dataclass
@@ -261,9 +282,10 @@ def _simulate(config: SimConfig) -> SessionTags:
 
 
 def run_experiment(config: SimConfig) -> SessionReport:
-    """Simulate one session, with its baseline beside it on a worker thread,
-    and post-process it with ``process_session``. A failure stops the
-    baseline before its next window."""
+    """Simulate one session and post-process it with ``process_session``,
+    against its baseline: the kept one if an earlier run had the same
+    baseline config, or else one simulated beside the session on a worker
+    thread. A failure stops that baseline before its next window."""
     t_start = time.monotonic()
     with _beside_baseline(config) as (baseline, _):
         # the tags are passed unnamed, so the call holds their only reference
@@ -470,12 +492,13 @@ def sweep(config: SimConfig,
     and bin. The secret-rate column combines per-point empirical information
     with the session-level eavesdropper bound at a nominal reconciliation
     efficiency: a planning figure, not a per-point reconciliation run. The
-    grid runs on this thread while a worker simulates the baseline behind
-    that bound, applied once the grid is done. A failure in the grid stops
-    the baseline before its next window and is raised, as is a failure of
-    the baseline other than a ``DoqkdError``; a ``DoqkdError`` from the
-    session's estimate, the baseline or the bound leaves the rows without
-    δI and secret rate.
+    bound is applied once the grid is done, against the baseline: the kept
+    one if an earlier run had the same baseline config, or else one a
+    worker simulates while the grid runs on this thread. A failure in the
+    grid stops that baseline before its next window and is raised, as is a
+    failure of the baseline other than a ``DoqkdError``; a ``DoqkdError``
+    from the session's estimate, the baseline or the bound leaves the rows
+    without δI and secret rate.
     """
     if not tau_list or not i_list or not n_list:
         raise ValueError("sweep grids must be non-empty")

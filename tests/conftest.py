@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import doqkd as dq
+from doqkd import session
 from doqkd.session import align_bob, analyze_security, compute_baseline, sweep
 
 ACCEPT_SEED = 20260808
@@ -23,6 +24,16 @@ def no_thread_left_behind():
     yield
     extra = [t.name for t in threading.enumerate() if t not in before]
     assert not extra, f"threads left alive: {extra}"
+
+
+@pytest.fixture(autouse=True)
+def no_kept_baseline():
+    """Run each test with no baseline kept from another, so runs that count
+    baseline windows or fake ``compute_baseline`` simulate their own, and
+    no faked baseline outlives its test."""
+    session._kept_baseline = None
+    yield
+    session._kept_baseline = None
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -584,6 +585,119 @@ class TestSweepOverlap:
         threads = threading.active_count()
         assert sweep(cfg, *SMALL_GRID).rows == rows
         assert threading.active_count() == threads
+
+
+class CountedBaselines:
+    """Counts the ``compute_baseline`` calls made through the session module;
+    ``done`` is set once one of them has returned a baseline."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.done = threading.Event()
+        compute = session.compute_baseline
+
+        def counted(config, stop=None):
+            self.calls += 1
+            baseline = compute(config, stop)
+            self.done.set()
+            return baseline
+
+        monkeypatch.setattr(session, "compute_baseline", counted)
+
+
+def baseline_of(cfg):
+    """The baseline a run of ``cfg`` is given, and the threads running
+    while it is fetched."""
+    with session._beside_baseline(cfg) as (baseline, _):
+        return baseline(), threading.active_count()
+
+
+class TestBaselineCache:
+    """The baseline a successful run completed is kept, one at a time; a
+    later run with the same baseline config reuses it, and reads as a cold
+    run would."""
+
+    def test_hit_reads_as_a_cold_run(self, monkeypatch):
+        counted = CountedBaselines(monkeypatch)
+        cold = run_experiment(tiny_cfg())
+        hit = run_experiment(tiny_cfg())
+        assert counted.calls == 1
+        assert hit.secret_key == cold.secret_key
+        assert hit.canonical_bytes() == cold.canonical_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 0x5EEDBA5E, 2**64 - 1])
+    def test_baseline_seed_is_not_the_session_seed(self, seed):
+        # a baseline drawn from the session's own streams would correlate
+        # with the session it characterises
+        assert tiny_cfg(seed=seed).baseline_config().seed != seed
+
+    def test_sweep_twice_simulates_one_baseline(self, mini, monkeypatch):
+        cfg, tags, _ = mini
+        counted = CountedBaselines(monkeypatch)
+        first = sweep(cfg, *SMALL_GRID, tags=tags)
+        second = sweep(cfg, *SMALL_GRID, tags=tags)
+        assert counted.calls == 1
+        assert all(r.secret_rate_bps is not None for r in first)
+        assert second.to_csv() == first.to_csv()
+
+    def test_failed_run_keeps_no_baseline(self, monkeypatch):
+        counted = CountedBaselines(monkeypatch)
+        simulate = session.simulate_session
+
+        def fail(config, **kwargs):
+            assert counted.done.wait(30)  # the baseline has completed
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(session, "simulate_session", fail)
+        with pytest.raises(StageError):
+            run_experiment(tiny_cfg())
+        monkeypatch.setattr(session, "simulate_session", simulate)
+        run_experiment(tiny_cfg())
+        assert counted.calls == 2
+
+    def test_keeps_one_baseline(self, monkeypatch):
+        made = []
+
+        def fake(config, stop=None):
+            made.append(config.seed)
+            return ("baseline", config.seed)
+
+        monkeypatch.setattr(session, "compute_baseline", fake)
+        assert baseline_of(tiny_cfg(seed=1))[0] == ("baseline", 1)
+        threads = threading.active_count()
+        assert baseline_of(tiny_cfg(seed=1)) == (("baseline", 1), threads)
+        assert baseline_of(tiny_cfg(seed=2))[0] == ("baseline", 2)
+        assert baseline_of(tiny_cfg(seed=1))[0] == ("baseline", 1)
+        assert made == [1, 2, 1]  # the hit started no worker and simulated none
+
+    def test_concurrent_runs(self, monkeypatch):
+        # more threads than cores, switching often, over three configs: each
+        # run gets its own config's baseline
+        def fake(config, stop=None):
+            return ("baseline", config.seed)
+
+        monkeypatch.setattr(session, "compute_baseline", fake)
+        configs = [tiny_cfg(seed=k) for k in range(3)]
+        wrong = []
+
+        def runs(j):
+            for i in range(60):
+                cfg = configs[(i * (j + 1)) % len(configs)]
+                if baseline_of(cfg)[0] != ("baseline", cfg.seed):
+                    wrong.append(cfg.seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=runs, args=(j,)) for j in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
 
 
 def property_tags(seed, n_a, n_b, span_ps, dur_a, dur_b):
