@@ -7,13 +7,13 @@ syndrome reconciliation on one worker thread, beside the security subset's
 histograms and the covariance analysis against the baseline -> privacy
 amplification. ``run_experiment`` and ``sweep`` both simulate the baseline
 on a worker thread, one 0.25 s window at a time, while the calling thread
-runs the session or the format grid; a run that fails stops its baseline
-before the next window. The baseline that a successful run completed is
-kept, one at a time, and a later run with the same baseline config reuses
-it instead. Everything derives from the session seed, so identical
-configurations produce byte-identical keys and (timing aside)
-byte-identical reports, whichever of the overlapped steps ends first and
-whether the baseline was simulated or reused.
+runs the session, or two threads share the format grid's frame widths; a
+run that fails stops its baseline before the next window. The baseline
+that a successful run completed is kept, one at a time, and a later run
+with the same baseline config reuses it instead. Everything derives from
+the session seed, so identical configurations produce byte-identical keys
+and (timing aside) byte-identical reports, whichever of the overlapped
+steps ends first and whether the baseline was simulated or reused.
 """
 from __future__ import annotations
 
@@ -393,6 +393,10 @@ def process_session(tags: SessionTags, config: SimConfig,
 DEFAULT_TAU_GRID = tuple(range(40, 401, 20))
 DEFAULT_I_GRID = (3, 4, 5)
 DEFAULT_N_GRID = (2, 3, 4, 5, 6)
+# threads that share a sweep's frame widths. With a kept baseline the grid
+# is the whole sweep; on one thread it left the second of two cores idle,
+# and its time from run to run followed the speed of the one core it ran on
+_GRID_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -492,13 +496,14 @@ def sweep(config: SimConfig,
     and bin. The secret-rate column combines per-point empirical information
     with the session-level eavesdropper bound at a nominal reconciliation
     efficiency: a planning figure, not a per-point reconciliation run. The
-    bound is applied once the grid is done, against the baseline: the kept
-    one if an earlier run had the same baseline config, or else one a
-    worker simulates while the grid runs on this thread. A failure in the
-    grid stops that baseline before its next window and is raised, as is a
-    failure of the baseline other than a ``DoqkdError``; a ``DoqkdError``
-    from the session's estimate, the baseline or the bound leaves the rows
-    without δI and secret rate.
+    grid's frame widths are shared among two threads, and the bound is
+    applied once the grid is done, against the baseline: the kept one if an
+    earlier run had the same baseline config, or else one a worker
+    simulates while the grid runs. A failure in the grid skips the widths
+    not yet started, stops that baseline before its next window and is
+    raised, as is a failure of the baseline other than a ``DoqkdError``; a
+    ``DoqkdError`` from the session's estimate, the baseline or the bound
+    leaves the rows without δI and secret rate.
     """
     if not tau_list or not i_list or not n_list:
         raise ValueError("sweep grids must be non-empty")
@@ -519,10 +524,15 @@ def sweep(config: SimConfig,
         t1, t2, tags = tags.t1, tags.t2, None  # drops F1, F2
         neighbours = FrameNeighbours(t1, t2, max(by_width))
         del t1, t2
-        for members in by_width.values():
+
+        def width_points(members: list[int]) -> None:
             off_a, off_b = _key_offsets(neighbours, config, formats[members[0]])
             for k in members:
                 points[k] = _grid_point(formats[k], off_a, off_b, estimate is not None)
+
+        # map cancels the widths not yet started once one fails
+        with ThreadPoolExecutor(_GRID_THREADS) as pool:
+            list(pool.map(width_points, by_width.values()))
         if estimate is not None:
             try:
                 chi = holevo_bound(estimate[1], baseline())

@@ -480,10 +480,10 @@ def sequential_chi(config, tags):
 
 
 class TestSweepOverlap:
-    """sweep runs its grid on the calling thread while a worker simulates
-    the baseline. The rows are those of the steps run in turn, whichever
-    side ends first; a failure on one side stops or discards the other and
-    leaves no thread behind."""
+    """sweep shares its grid's frame widths among two threads while a
+    worker simulates the baseline. The rows are those of the steps run in
+    turn, whichever ends first; a failure on one side stops or discards the
+    other and leaves no thread behind."""
 
     @pytest.fixture(scope="class")
     def expected(self, mini):
@@ -506,6 +506,40 @@ class TestSweepOverlap:
         monkeypatch.setattr(session, slow, late)
         threads = threading.active_count()
         assert sweep(cfg, *SMALL_GRID, tags=tags).to_csv() == expected["chi"]
+        assert threading.active_count() == threads
+
+    def test_widths_finish_out_of_order(self, mini, expected, monkeypatch):
+        cfg, tags, _ = mini
+        first = grid_formats(*SMALL_GRID)[0].frame_width_ps
+        key_offsets, ended = session._key_offsets, []
+
+        def first_late(neighbours, config, fmt):
+            if fmt.frame_width_ps == first:
+                time.sleep(0.2)
+            offsets = key_offsets(neighbours, config, fmt)
+            ended.append(fmt.frame_width_ps)
+            return offsets
+
+        monkeypatch.setattr(session, "_key_offsets", first_late)
+        assert sweep(cfg, *SMALL_GRID, tags=tags).to_csv() == expected["chi"]
+        assert ended[-1] == first and len(ended) == 2
+
+    def test_grid_failure_skips_widths_not_started(self, mini, monkeypatch):
+        cfg, tags, _ = mini
+        tau_list = tuple(range(40, 401, 20))  # 19 widths
+        calls = []
+
+        def fail(neighbours, config, fmt):
+            calls.append(fmt)
+            if len(calls) > 1:
+                time.sleep(0.05)  # busy while the failure is raised
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(session, "_key_offsets", fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            sweep(cfg, tau_list, (3,), (4,), tags=tags)
+        assert len(calls) <= session._GRID_THREADS + 1
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("failing", ["compute_baseline", "analyze_security",
